@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 build test race bench bench-json examples serve-smoke store-roundtrip seq-smoke chaos-smoke tput-smoke trace-smoke
+.PHONY: tier1 build test race bench bench-json examples serve-smoke store-roundtrip seq-smoke chaos-smoke tput-smoke trace-smoke perfbench-check
 
 # tier1 is the repo's gate: everything must build, vet clean, and every
 # test pass.
@@ -117,9 +117,15 @@ trace-smoke:
 	grep -q '/metrics, /stats, and /debug/pprof answered' $(TRACE_CI_DIR)/serve.out
 	@echo "trace-smoke: trace validated, obligation profile rendered, metrics endpoints answered"
 
+# perfbench-check builds, vets and self-tests the repository benchmark
+# (perfbench/, a module of its own outside `go test ./...`), so a change
+# to the API it uses fails here instead of at benchmark time (CI runs it).
+perfbench-check:
+	cd perfbench && $(GO) build ./... && $(GO) vet ./... && $(GO) test -short ./...
+
 # bench-json records the benchmark trajectory: one BENCH_<n>.json per
-# PR, so regressions are visible across the history. Override BENCH_OUT
-# for the next snapshot.
-BENCH_OUT ?= BENCH_9.json
+# snapshot, so regressions are visible across the history. BENCH_OUT has
+# no default, so a bare run cannot overwrite a committed record.
 bench-json:
+	@test -n "$(BENCH_OUT)" || { echo "usage: make bench-json BENCH_OUT=BENCH_<n>.json" >&2; exit 2; }
 	$(GO) run ./cmd/vsdbench -json > $(BENCH_OUT).tmp && mv $(BENCH_OUT).tmp $(BENCH_OUT)

@@ -115,13 +115,11 @@ func solverMetrics(m map[string]float64, st smt.Stats) {
 	m["sessions-opened"] = float64(st.SessionsOpened)
 	m["assumption-solves"] = float64(st.AssumptionSolves)
 	m["reused-clauses"] = float64(st.ClausesReused)
-	// CNF-minimization counters: emitted formula size, structural gate
-	// cache, equality substitution (per-query averages are size/sat-calls).
+	// CNF-minimization counters: emitted formula size and structural gate
+	// cache (per-query averages are size/sat-calls).
 	m["cnf-vars"] = float64(st.CNFVars)
 	m["cnf-clauses"] = float64(st.CNFClauses)
 	m["gate-cache-hits"] = float64(st.GateCacheHits)
-	m["eq-atoms-rewritten"] = float64(st.EqAtomsRewritten)
-	m["eq-decided-unsat"] = float64(st.EqDecidedUnsat)
 	// SAT-core heuristics: learnt-clause minimization, glue distribution,
 	// binary-clause propagation, Luby restarts.
 	m["minimized-lits"] = float64(st.MinimizedLits)
@@ -134,16 +132,9 @@ func solverMetrics(m map[string]float64, st smt.Stats) {
 	m["assum-levels"] = float64(st.AssumLevels)
 	m["decisions"] = float64(st.Decisions)
 	m["restarts"] = float64(st.Restarts)
-	// PR-6 performance layer: CNF preprocessing, the portfolio race, and
-	// glue-filtered learnt-clause sharing.
+	// In-session CNF strengthening and budget exhaustion.
 	m["preprocess-runs"] = float64(st.PreprocessRuns)
-	m["vars-eliminated"] = float64(st.VarsEliminated)
-	m["clauses-subsumed"] = float64(st.ClausesSubsumed)
 	m["lits-strengthened"] = float64(st.LitsStrengthened)
-	m["clauses-published"] = float64(st.ClausesPublished)
-	m["clauses-imported"] = float64(st.ClausesImported)
-	m["portfolio-races"] = float64(st.PortfolioRaces)
-	m["portfolio-wins"] = float64(st.PortfolioWins)
 	m["unknowns"] = float64(st.Unknowns)
 }
 

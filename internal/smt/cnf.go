@@ -78,34 +78,6 @@ func (b *blaster) reset() {
 	b.pinConstants()
 }
 
-// dropStructuralCaches clears every cache that can hand out literals
-// over variables a CNF rewrite may eliminate: the Tseitin gate cache,
-// the per-expression memo, and the division memo. varBits survives —
-// model extraction reads named bits through it, and the session freezes
-// every variable it holds so preprocessing can never eliminate them.
-// Called immediately before SatSolver.Preprocess.
-func (b *blaster) dropStructuralCaches() {
-	clear(b.exprMem)
-	clear(b.divMem)
-	clear(b.gates)
-}
-
-// frozenVars marks in mask (growing it as needed) every variable
-// preprocessing must preserve on this blaster: the pinned constant and
-// each named bitvector bit.
-func (b *blaster) frozenVars(mask []bool) []bool {
-	for len(mask) < b.sat.NumVars() {
-		mask = append(mask, false)
-	}
-	mask[b.tru.Var()] = true
-	for _, bits := range b.varBits {
-		for _, l := range bits {
-			mask[l.Var()] = true
-		}
-	}
-	return mask
-}
-
 // pinConstants allocates variable 0 and pins it true so constant bits
 // are ordinary literals.
 func (b *blaster) pinConstants() {

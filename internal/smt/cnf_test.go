@@ -165,9 +165,10 @@ func TestCNFSizeCeilings(t *testing.T) {
 	}
 }
 
-// TestEqualitySubstitution covers the word-level pre-pass: constants and
-// aliases propagate through the atom set, contradictions are detected,
-// and verdicts (with models) agree with the substitution disabled.
+// TestEqualitySubstitution covers queries built from var = const and
+// var = var atoms: chained constants and aliases and contradictions
+// between them must get exact verdicts and models from bit-blasting
+// alone, with no word-level substitution pass in front.
 func TestEqualitySubstitution(t *testing.T) {
 	x := expr.Var("x", 16)
 	y := expr.Var("y", 16)
@@ -175,8 +176,7 @@ func TestEqualitySubstitution(t *testing.T) {
 
 	t.Run("const-propagation-decides", func(t *testing.T) {
 		s := New(Options{})
-		// x = 5 ∧ x + y = 12 ∧ y ≠ 7 is unsat; substitution folds it
-		// without any SAT search.
+		// x = 5 ∧ x + y = 12 ∧ y ≠ 7 is unsat.
 		res, _ := s.Check([]*expr.Expr{
 			expr.Eq(x, expr.Const(16, 5)),
 			expr.Eq(expr.Add(x, y), expr.Const(16, 12)),
@@ -184,9 +184,6 @@ func TestEqualitySubstitution(t *testing.T) {
 		})
 		if res != Unsat {
 			t.Fatalf("got %v, want unsat", res)
-		}
-		if st := s.Stats(); st.EqAtomsRewritten == 0 {
-			t.Error("equality substitution did not fire")
 		}
 	})
 
@@ -217,23 +214,6 @@ func TestEqualitySubstitution(t *testing.T) {
 		})
 		if res != Unsat {
 			t.Fatalf("got %v, want unsat", res)
-		}
-	})
-
-	t.Run("agrees-with-disabled", func(t *testing.T) {
-		queries := [][]*expr.Expr{
-			{expr.Eq(x, expr.Const(16, 9)), expr.Ult(expr.Mul(x, y), expr.Const(16, 100))},
-			{expr.Eq(x, y), expr.Ult(expr.Add(x, y), expr.Const(16, 3))},
-			{expr.Eq(expr.BvXor(x, y), expr.Const(16, 0)), expr.Ne(x, y)},
-		}
-		for i, q := range queries {
-			on := New(Options{})
-			off := New(Options{DisableEqSubst: true})
-			r1, _ := on.Check(q)
-			r2, _ := off.Check(q)
-			if r1 != r2 {
-				t.Errorf("query %d: subst-on %v != subst-off %v", i, r1, r2)
-			}
 		}
 	})
 }

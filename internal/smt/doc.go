@@ -10,16 +10,17 @@
 //     execution queries die here;
 //  2. canonical ordering + dedup and an order-insensitive verdict cache
 //     keyed by the terms' memoized structural hashes;
-//  3. word-level equality substitution — var=const / var=var
-//     propagation with union-find, often folding the rest of the query
-//     (eqsubst.go, DESIGN.md §4.2);
-//  4. an interval pre-analysis that decides many comparisons without
+//  3. an interval pre-analysis that decides many comparisons without
 //     blasting (intervals.go);
-//  5. structurally-hashed bit-blasting to CNF with AIG-style gate
+//  4. structurally-hashed bit-blasting to CNF with AIG-style gate
 //     sharing (cnf.go, DESIGN.md §4.1) and a MiniSat/glucose-flavored
 //     CDCL core: arena clause storage, binary watch lists, recursive
 //     learnt-clause minimization, LBD-based clause-DB reduction, Luby
-//     restarts (sat.go, DESIGN.md §4.3).
+//     restarts (sat.go, DESIGN.md §4.2);
+//  5. self-subsumption strengthening of the CNF whenever it has grown
+//     enough to repay a pass, and a conflict/wall-clock budget on every
+//     search whose exhaustion yields Unknown, never a verdict
+//     (preprocess.go, DESIGN.md §4.3).
 //
 // IncrementalSession (DESIGN.md §2) keeps one persistent SAT instance
 // per caller: each distinct atom is blasted once behind an activation

@@ -1,7 +1,7 @@
 package smt
 
 // Robustness tests (DESIGN.md §9): the fault-injection hook, the
-// watchdog interrupt, and portfolio-seat panic containment. The
+// watchdog interrupt, and the conflict and wall-clock budgets. The
 // contract under test is uniform — a failed or cancelled search may
 // only ever degrade to Unknown, never to a fabricated verdict and never
 // to a downed process.
@@ -15,7 +15,7 @@ import (
 )
 
 // hardQuery returns constraints that reach the SAT core (the interval
-// and equality pre-passes cannot decide multiplication).
+// pre-pass cannot decide multiplication).
 func hardQuery() []*expr.Expr {
 	x := expr.Var("x", 16)
 	y := expr.Var("y", 16)
@@ -111,34 +111,84 @@ func TestInterruptCancelsIncrementalSessions(t *testing.T) {
 	}
 }
 
-func TestRaceContainsSeatPanics(t *testing.T) {
-	defer func() { seatStartHook = nil }()
-	// A small satisfiable instance: (v0 ∨ v1) ∧ (¬v0 ∨ v1).
-	s := NewSatSolver()
-	v0, v1 := s.NewVar(), s.NewVar()
-	s.AddClause(MkLit(v0, false), MkLit(v1, false))
-	s.AddClause(MkLit(v0, true), MkLit(v1, false))
-
-	// Every seat but 0 panics at start; the race must survive, count the
-	// panics, and still return seat 0's correct verdict.
-	seatStartHook = func(seat int) {
-		if seat != 0 {
-			panic("injected seat panic")
+// php encodes the pigeonhole principle PHP(p, p-1) — p pigeons into p-1
+// holes, unsatisfiable and exponentially hard for resolution — as the
+// budget tests' reliably conflict-heavy instance.
+func php(s *SatSolver, pigeons int) {
+	holes := pigeons - 1
+	vars := make([][]Lit, pigeons)
+	for i := range vars {
+		vars[i] = make([]Lit, holes)
+		for j := range vars[i] {
+			vars[i][j] = MkLit(s.NewVar(), false)
 		}
 	}
-	verdict, winner, panics := racePortfolio(s, nil, 3, -1, time.Time{}, nil)
-	if panics != 2 {
-		t.Fatalf("panics = %d, want 2", panics)
+	for i := 0; i < pigeons; i++ {
+		s.AddClause(vars[i]...) // each pigeon sits somewhere
 	}
-	if verdict != SatSat || winner == nil {
-		t.Fatalf("race verdict = %v (winner %v), want Sat from the surviving seat", verdict, winner != nil)
+	for j := 0; j < holes; j++ {
+		for i := 0; i < pigeons; i++ {
+			for k := i + 1; k < pigeons; k++ {
+				s.AddClause(vars[i][j].Flip(), vars[k][j].Flip())
+			}
+		}
 	}
+}
 
-	// All seats panic: the race degrades to Unknown — never a verdict
-	// from a dead seat, never a crash.
-	seatStartHook = func(int) { panic("injected seat panic") }
-	verdict, winner, panics = racePortfolio(s, nil, 3, -1, time.Time{}, nil)
-	if verdict != SatUnknown || winner != nil || panics != 3 {
-		t.Fatalf("all-dead race = %v (winner %v, panics %d), want Unknown/nil/3", verdict, winner != nil, panics)
+// TestSolveConflictBudgetUnknown asserts the budget contract: a search
+// cut off by MaxConflicts reports SatUnknown — never a verdict — and
+// the same instance solves to SatUnsat once the budget is lifted.
+func TestSolveConflictBudgetUnknown(t *testing.T) {
+	s := NewSatSolver()
+	php(s, 7)
+	s.MaxConflicts = 5
+	if got := s.Solve(); got != SatUnknown {
+		t.Fatalf("budgeted solve = %v, want SatUnknown", got)
+	}
+	s.MaxConflicts = 0
+	if got := s.Solve(); got != SatUnsat {
+		t.Fatalf("unbounded solve = %v, want SatUnsat", got)
+	}
+}
+
+// TestSolveDeadlineUnknown asserts the wall-clock budget: an expired
+// Deadline yields SatUnknown without fabricating a verdict.
+func TestSolveDeadlineUnknown(t *testing.T) {
+	s := NewSatSolver()
+	php(s, 9)
+	s.Deadline = time.Now().Add(-time.Second)
+	if got := s.Solve(); got != SatUnknown {
+		t.Fatalf("expired-deadline solve = %v, want SatUnknown", got)
+	}
+}
+
+// TestSessionBudgetUnknown exercises the budget through an incremental
+// session: a conflict-capped Check on a hard factoring formula returns
+// Unknown with no model, and Stats counts the unresolved search.
+func TestSessionBudgetUnknown(t *testing.T) {
+	s := New(Options{MaxConflicts: 2, DisableIntervals: true})
+	sess := s.NewSession()
+	// Factoring, as in TestUnknownOnBudgetExhaustion: the 16-bit bounds
+	// rule out the wrap-around solutions a single descent can hit.
+	x := expr.Var("x", 32)
+	y := expr.Var("y", 32)
+	res, m := sess.Check([]*expr.Expr{
+		expr.Eq(expr.Mul(x, y), expr.Const(32, 7919*6101)),
+		expr.Ult(expr.Const(32, 1), x),
+		expr.Ult(expr.Const(32, 1), y),
+		expr.Ult(x, expr.Const(32, 1<<16)),
+		expr.Ult(y, expr.Const(32, 1<<16)),
+	})
+	if res == Sat {
+		t.Skip("budget test got lucky; acceptable")
+	}
+	if res != Unknown {
+		t.Fatalf("budgeted session Check = %v, want Unknown", res)
+	}
+	if m != nil {
+		t.Fatal("Unknown must carry no model")
+	}
+	if s.Stats().Unknowns == 0 {
+		t.Fatal("Stats().Unknowns not incremented")
 	}
 }

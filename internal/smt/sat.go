@@ -6,16 +6,14 @@
 //
 //  1. an interval/constant pre-analysis that decides many queries
 //     produced by segment stitching without touching the SAT core;
-//  2. a word-level equality-substitution pass that propagates var=const
-//     and var=var atoms through the remaining atoms;
-//  3. Ackermann-style elimination of packet-array reads;
-//  4. bit-blasting of the remaining bitvector formula to CNF through a
+//  2. Ackermann-style elimination of packet-array reads;
+//  3. bit-blasting of the remaining bitvector formula to CNF through a
 //     structurally-hashed gate cache;
-//  5. a CDCL SAT solver (two-watched-literal propagation with dedicated
+//  4. a CDCL SAT solver (two-watched-literal propagation with dedicated
 //     binary-clause watch lists, first-UIP conflict analysis with
 //     recursive learnt-clause minimization, VSIDS-style activities,
 //     phase saving, LBD-aware clause-database reduction, Luby restarts);
-//  6. model reconstruction back to bitvector variables and packet bytes.
+//  5. model reconstruction back to bitvector variables and packet bytes.
 //
 // This file implements the SAT core. It is deliberately self-contained:
 // literals, clauses and the trail use the MiniSat conventions, which keeps
@@ -144,13 +142,7 @@ type SatCounters struct {
 
 	// Preprocessing (preprocess.go).
 	PreprocessRuns   int64
-	VarsEliminated   int64 // variables removed by bounded variable elimination
-	ClausesSubsumed  int64 // clauses deleted by (backward) subsumption
 	LitsStrengthened int64 // literals removed by self-subsumption strengthening
-
-	// Clause exchange (exchange.go).
-	ClausesPublished int64 // low-glue learnt clauses offered to the exchange
-	ClausesImported  int64 // foreign learnt clauses attached by ImportLearnt
 }
 
 // SatSolver is a CDCL SAT solver. The zero value is not usable; call
@@ -182,7 +174,6 @@ type SatSolver struct {
 	// Conflict-analysis scratch (reused across conflicts).
 	learntBuf    []Lit
 	analyzeStack []Lit
-	importBuf    []Lit // ImportLearnt scratch (exchange clauses are shared)
 	toClear      []int32
 	lbdSeen      []int64 // per-level stamp for LBD computation
 	lbdStamp     int64
@@ -205,60 +196,25 @@ type SatSolver struct {
 	// budget is exhausted Solve returns SatUnknown.
 	MaxConflicts int64
 
-	// Deadline, when nonzero, bounds the search's wall time; Stop, when
-	// non-nil, is an external cancellation flag (a portfolio winner
-	// cancelling its losers). Either makes Solve return SatUnknown.
-	// Interrupt is a second, caller-owned cancellation flag with the same
-	// effect: it outlives any single race (the watchdog's lever), so it
-	// must not be overwritten by portfolio plumbing the way Stop is.
+	// Deadline, when nonzero, bounds the search's wall time; Interrupt,
+	// when non-nil, is a caller-owned cancellation flag (the watchdog's
+	// lever). Either makes Solve return SatUnknown.
 	Deadline  time.Time
-	Stop      *atomic.Bool
 	Interrupt *atomic.Bool
 
-	// model is the assignment snapshot of the last SatSat answer, with
-	// eliminated variables reconstructed from elimStack. Kept separate
-	// from assign so the incremental trail is never polluted by
-	// reconstruction values.
+	// model is the assignment snapshot of the last SatSat answer, kept
+	// separate from assign because the next Solve rewinds the trail.
 	model []lbool
-
-	// elim marks variables removed by bounded variable elimination; they
-	// are never decided and never re-occur in added clauses. elimStack
-	// remembers the clauses each elimination removed, in order, for model
-	// reconstruction. varDecay is the VSIDS decay (a portfolio
-	// diversification knob; 0.95 classically).
-	elim      []bool
-	elimStack []elimRecord
-	varDecay  float64
 
 	// preClauses is the problem-clause count at the last preprocessing
 	// run (0 = never ran); NeedPreprocess compares against it.
 	preClauses int
-
-	// fp is the running construction fingerprint: an order-sensitive hash
-	// of every NewVar and AddClause event (and of the clause database
-	// after a preprocessing rewrite). Two solvers with equal fingerprints
-	// hold bit-identical problem CNFs, which scopes the clause exchange.
-	fp uint64
-
-	// exchID is this solver's publisher identity on a ClauseExchange
-	// (assigned at first attach; 0 = none). It survives reset — identity
-	// only needs to be unique, and a recycled solver may keep it.
-	exchID uint32
-
-	// onLearnt, if set, observes every learnt clause at recording time
-	// (the exchange publishes low-glue ones). The slice aliases solver
-	// scratch: observers must copy. onRestart, if set, runs at each
-	// restart boundary (the exchange imports there); it may call
-	// ImportLearnt but must not call Solve.
-	onLearnt  func(lits []Lit, lbd int32)
-	onRestart func()
 }
 
 // NewSatSolver returns an empty solver.
 func NewSatSolver() *SatSolver {
-	s := &SatSolver{varInc: 1, claInc: 1, ok: true, varDecay: defaultVarDecay,
-		restartBase: lubyRestartBase, reduceMin: reduceDBMin, compactMin: compactDBMin,
-		fp: fpOffset}
+	s := &SatSolver{varInc: 1, claInc: 1, ok: true,
+		restartBase: lubyRestartBase, reduceMin: reduceDBMin, compactMin: compactDBMin}
 	s.order = &varHeap{act: &s.activity}
 	return s
 }
@@ -297,34 +253,10 @@ func (s *SatSolver) reset() {
 	s.compactMin = compactDBMin
 	s.MaxConflicts = 0
 	s.Deadline = time.Time{}
-	s.Stop = nil
 	s.Interrupt = nil
 	s.model = s.model[:0]
-	s.elim = s.elim[:0]
-	s.elimStack = s.elimStack[:0]
-	s.varDecay = defaultVarDecay
 	s.preClauses = 0
-	s.fp = fpOffset
-	s.onLearnt = nil
-	s.onRestart = nil
 }
-
-// Construction-fingerprint mixing (FNV-1a over 64-bit words).
-const (
-	fpOffset = 0xcbf29ce484222325
-	fpPrime  = 0x00000100000001b3
-)
-
-func (s *SatSolver) fpMix(x uint64) {
-	s.fp = (s.fp ^ x) * fpPrime
-}
-
-// Fingerprint identifies the problem CNF built so far (variables and
-// clauses, order-sensitive; rewritten after preprocessing). Learnt and
-// imported clauses do not contribute: they are implied, so two solvers
-// with equal fingerprints may exchange learnt clauses in either
-// direction.
-func (s *SatSolver) Fingerprint() uint64 { return s.fp }
 
 // lits returns clause c's literals (aliasing the arena).
 func (s *SatSolver) lits(c cref) []Lit {
@@ -350,11 +282,9 @@ func (s *SatSolver) NewVar() int32 {
 	s.activity = append(s.activity, 0)
 	s.polarity = append(s.polarity, false)
 	s.seen = append(s.seen, false)
-	s.elim = append(s.elim, false)
 	s.watches = extendWatches(s.watches)
 	s.binWatches = extendWatches(s.binWatches)
 	s.order.push(v)
-	s.fpMix(0x9e3779b97f4a7c15) // variable-allocation event
 	return v
 }
 
@@ -402,45 +332,17 @@ func (s *SatSolver) AddClause(lits ...Lit) bool {
 	if !s.ok {
 		return false
 	}
-	s.fpMix(uint64(len(lits))<<32 | 0xc1a05e)
-	for _, l := range lits {
-		s.fpMix(uint64(uint32(l)))
-	}
-	if !s.addClause(lits, false) {
+	if !s.addClause(lits) {
 		return false
 	}
 	s.cnt.ClausesAdded++
 	return true
 }
 
-// ImportLearnt attaches a clause learnt by a solver with an equal
-// fingerprint (so the clause is implied by this solver's problem CNF) as
-// a learnt clause. Clauses mentioning eliminated variables are refused:
-// eliminated variables are never decided here, so such a clause could go
-// permanently unserviced. Safe to call between solves and — from an
-// onRestart hook — during one. Reports whether the solver is still
-// consistent (an imported unit can expose top-level unsatisfiability).
-func (s *SatSolver) ImportLearnt(lits []Lit) bool {
-	if !s.ok {
-		return false
-	}
-	for _, l := range lits {
-		if v := l.Var(); int(v) >= len(s.assign) || s.elim[v] {
-			return true // incompatible with local eliminations; skip
-		}
-	}
-	s.importBuf = append(s.importBuf[:0], lits...)
-	if !s.addClause(s.importBuf, true) {
-		return false
-	}
-	s.cnt.ClausesImported++
-	return true
-}
-
-// addClause simplifies and attaches one clause (problem or learnt),
-// mutating lits in place. It returns false if the formula became
-// unsatisfiable at the top level.
-func (s *SatSolver) addClause(lits []Lit, learnt bool) bool {
+// addClause simplifies and attaches one problem clause, mutating lits in
+// place. It returns false if the formula became unsatisfiable at the top
+// level.
+func (s *SatSolver) addClause(lits []Lit) bool {
 	// Simplify: remove permanently-false literals and duplicates; detect
 	// tautologies and permanently-satisfied clauses.
 	out := lits[:0]
@@ -510,23 +412,14 @@ func (s *SatSolver) addClause(lits []Lit, learnt bool) bool {
 		// unassigned and any watch pair is valid.
 		s.cancelUntil(0)
 	}
-	c := s.alloc(out, learnt)
+	c := s.alloc(out, false)
 	if s.value(out[1]) == lFalse && s.value(out[0]) >= lUndef {
 		// Unit under the current trail: imply the remaining literal now
 		// so the falsified watch is never left unserved. The implication
 		// is propagated lazily by the next Solve.
 		s.enqueue(s.lits(c)[0], c)
 	}
-	if learnt {
-		// Imported clauses start with pessimistic glue (their recording
-		// LBD is meaningless under this trail); a conflict involving them
-		// refreshes it, and reduceDB may drop the unused ones.
-		s.cdb[c].act = float32(s.claInc)
-		s.cdb[c].lbd = int32(len(out))
-		s.learnts = append(s.learnts, c)
-	} else {
-		s.clauses = append(s.clauses, c)
-	}
+	s.clauses = append(s.clauses, c)
 	s.watchClause(c)
 	return true
 }
@@ -844,9 +737,6 @@ func (s *SatSolver) record(learnt []Lit, lbd int32) {
 	if lbd <= 2 {
 		s.cnt.LowGlue++
 	}
-	if s.onLearnt != nil {
-		s.onLearnt(learnt, lbd)
-	}
 	switch len(learnt) {
 	case 1:
 		s.enqueue(learnt[0], crefNil)
@@ -956,7 +846,7 @@ func (s *SatSolver) isReason(c cref) bool {
 
 // lubyRestartBase scales the Luby sequence into conflict budgets;
 // reduceDBMin is the learnt-clause floor below which reduceDB is a
-// no-op.
+// no-op; defaultVarDecay is the VSIDS activity decay (0.95 classically).
 const (
 	lubyRestartBase = 100
 	reduceDBMin     = 100
@@ -1009,7 +899,7 @@ func (s *SatSolver) Solve(assumptions ...Lit) SatResult {
 			learnt, bt, lbd := s.analyze(conf)
 			s.cancelUntil(bt)
 			s.record(learnt, lbd)
-			s.varInc /= s.varDecay
+			s.varInc /= defaultVarDecay
 			s.claInc /= 0.999
 			continue
 		}
@@ -1020,10 +910,6 @@ func (s *SatSolver) Solve(assumptions ...Lit) SatResult {
 		// External cancellation: an atomic flag every iteration, the
 		// clock only every few hundred (a time read per decision would be
 		// measurable on propagation-bound instances).
-		if s.Stop != nil && s.Stop.Load() {
-			s.cancelUntil(0)
-			return SatUnknown
-		}
 		if s.Interrupt != nil && s.Interrupt.Load() {
 			s.cancelUntil(0)
 			return SatUnknown
@@ -1042,15 +928,6 @@ func (s *SatSolver) Solve(assumptions ...Lit) SatResult {
 				keep = int32(len(assumptions))
 			}
 			s.cancelUntil(keep)
-			if s.onRestart != nil {
-				// Exchange import point: new clauses attach against the
-				// standing assumption prefix (a conflicting one rewinds to
-				// level 0, after which the loop re-applies assumptions).
-				s.onRestart()
-				if !s.ok {
-					return SatUnsat
-				}
-			}
 			continue
 		}
 		if len(s.learnts) > learntLimit {
@@ -1088,60 +965,22 @@ func (s *SatSolver) Solve(assumptions ...Lit) SatResult {
 func (s *SatSolver) pickBranchVar() int32 {
 	if s.orderStale {
 		s.orderStale = false
-		s.order.rebuild(s.assign, s.elim)
+		s.order.rebuild(s.assign)
 	}
 	for {
 		v, ok := s.order.pop()
 		if !ok {
 			return -1
 		}
-		if s.assign[v] == lUndef && !s.elim[v] {
+		if s.assign[v] == lUndef {
 			return v
 		}
 	}
 }
 
-// captureModel snapshots the satisfying assignment and reconstructs
-// values for eliminated variables by replaying elimStack in reverse:
-// each record's saved clauses (which mention only the record's variable
-// and variables live at its elimination time) pick the value that keeps
-// every one satisfied. MiniSat/SatELite's model extension.
+// captureModel snapshots the satisfying assignment.
 func (s *SatSolver) captureModel() {
 	s.model = append(s.model[:0], s.assign...)
-	// Give unassigned variables (the eliminated ones) a definite default
-	// first: the satisfaction tests below and ModelValue must read the
-	// same value, or a clause satisfied under the final reading could
-	// force a contradictory reconstruction.
-	for v, m := range s.model {
-		if m >= lUndef {
-			s.model[v] = lFalse
-		}
-	}
-	for i := len(s.elimStack) - 1; i >= 0; i-- {
-		rec := &s.elimStack[i]
-		start := int32(0)
-		for _, end := range rec.ends {
-			cl := rec.lits[start:end]
-			start = end
-			sat := false
-			var vlit Lit = -1
-			for _, l := range cl {
-				if l.Var() == rec.v {
-					vlit = l
-					continue
-				}
-				if s.model[l.Var()]^lbool(l&1) == lTrue {
-					sat = true
-					break
-				}
-			}
-			if !sat && vlit >= 0 {
-				// The clause must be satisfied through the eliminated
-				// variable's own literal.
-				s.model[rec.v] = lbool(vlit & 1)
-			}
-		}
-	}
 }
 
 // ModelValue returns the assignment of variable v after a Sat answer.
@@ -1167,16 +1006,16 @@ func (h *varHeap) reset() {
 	h.pos = h.pos[:0]
 }
 
-// rebuild reconstitutes the heap from every unassigned, uneliminated
-// variable in one O(n) heapify — the counterpart of a bulk cancelUntil,
-// which skips the per-variable pushes.
-func (h *varHeap) rebuild(assign []lbool, elim []bool) {
+// rebuild reconstitutes the heap from every unassigned variable in one
+// O(n) heapify — the counterpart of a bulk cancelUntil, which skips the
+// per-variable pushes.
+func (h *varHeap) rebuild(assign []lbool) {
 	h.items = h.items[:0]
 	for len(h.pos) < len(assign) {
 		h.pos = append(h.pos, -1)
 	}
 	for v, a := range assign {
-		if a == lUndef && !elim[v] {
+		if a == lUndef {
 			h.pos[v] = int32(len(h.items))
 			h.items = append(h.items, int32(v))
 		} else {

@@ -374,10 +374,10 @@ func TestSatCompaction(t *testing.T) {
 
 // TestSatFuzzDifferentialPreprocess is the preprocessing half of the
 // differential oracle: every random instance is solved plain and with a
-// Preprocess pass (BVE + subsumption) in front, asserting identical
-// verdicts against each other and against enumeration, and that the
-// preprocessed solver's model — after eliminated-variable
-// reconstruction — still satisfies the ORIGINAL clauses.
+// Preprocess pass (unit application + self-subsumption strengthening)
+// in front, asserting identical verdicts against each other and against
+// enumeration, and that the preprocessed solver's model still satisfies
+// the ORIGINAL clauses.
 func TestSatFuzzDifferentialPreprocess(t *testing.T) {
 	r := rand.New(rand.NewSource(2024))
 	for trial := 0; trial < 400; trial++ {
@@ -407,7 +407,7 @@ func TestSatFuzzDifferentialPreprocess(t *testing.T) {
 			}
 			continue
 		}
-		preOK := pre.Preprocess(nil, trial%4 != 3) // mostly full BVE, sometimes subsumption-only
+		preOK := pre.Preprocess()
 		if !preOK {
 			if want {
 				t.Fatalf("trial %d: Preprocess declared unsat but formula is sat: %v", trial, cnf)
@@ -426,16 +426,16 @@ func TestSatFuzzDifferentialPreprocess(t *testing.T) {
 			t.Fatalf("trial %d: preprocessed Solve = %v, brute force = %v, cnf = %v", trial, gotPre, want, cnf)
 		}
 		if gotPre == SatSat {
-			checkModel(t, pre, cnf, trial) // reconstruction vs the original clauses
+			checkModel(t, pre, cnf, trial) // strengthened CNF vs the original clauses
 		}
 	}
 }
 
 // TestSatFuzzPreprocessIncremental drives the preprocessed solver the
-// way sessions do: a frozen interface (assumption variables), repeated
-// assumption solves, clause additions over frozen + freshly created
-// variables between solves, and mid-stream re-preprocessing. Verdicts
-// and reconstructed models are cross-checked by enumeration each round.
+// way sessions do: repeated assumption solves, clause additions over old
+// and freshly created variables between solves, and mid-stream
+// re-preprocessing. Verdicts and models are cross-checked by
+// enumeration each round.
 func TestSatFuzzPreprocessIncremental(t *testing.T) {
 	r := rand.New(rand.NewSource(5150))
 	for trial := 0; trial < 150; trial++ {
@@ -443,13 +443,6 @@ func TestSatFuzzPreprocessIncremental(t *testing.T) {
 		s := NewSatSolver()
 		for i := 0; i < nv; i++ {
 			s.NewVar()
-		}
-		// Freeze a random prefix: those are the variables assumptions and
-		// future clauses may mention alongside new variables.
-		nFrozen := 2 + r.Intn(nv-2)
-		frozen := make([]bool, nv)
-		for i := 0; i < nFrozen; i++ {
-			frozen[i] = true
 		}
 		var cnf [][]Lit
 		dead := false
@@ -471,27 +464,21 @@ func TestSatFuzzPreprocessIncremental(t *testing.T) {
 			all[i] = int32(i)
 		}
 		addOver(all, 2+r.Intn(3*nv))
-		if !dead && !s.Preprocess(frozen, true) {
+		if !dead && !s.Preprocess() {
 			dead = true
 		}
-		legal := all[:nFrozen] // frozen prefix; grows with fresh vars
 		for round := 0; round < 5; round++ {
 			if r.Intn(2) == 0 && len(s.assign) < 16 {
-				v := s.NewVar()
-				legal = append(legal, v)
-				frozen = append(make([]bool, 0, int(v)+1), frozen...)
-				for int32(len(frozen)) <= v {
-					frozen = append(frozen, true)
-				}
+				all = append(all, s.NewVar())
 			}
 			if !dead {
-				addOver(legal, 1+r.Intn(4))
+				addOver(all, 1+r.Intn(4))
 			}
-			if !dead && r.Intn(3) == 0 && !s.Preprocess(frozen, round%2 == 0) {
+			if !dead && r.Intn(3) == 0 && !s.Preprocess() {
 				dead = true
 			}
 			var assumptions []Lit
-			for _, v := range legal {
+			for _, v := range all {
 				if r.Intn(4) == 0 {
 					assumptions = append(assumptions, MkLit(v, r.Intn(2) == 1))
 				}
@@ -508,8 +495,8 @@ func TestSatFuzzPreprocessIncremental(t *testing.T) {
 			}
 			got := s.Solve(assumptions...)
 			if (got == SatSat) != want {
-				t.Fatalf("trial %d round %d: Solve = %v, brute force = %v, cnf = %v assumptions = %v elim = %v",
-					trial, round, got, want, cnf, assumptions, s.elim)
+				t.Fatalf("trial %d round %d: Solve = %v, brute force = %v, cnf = %v assumptions = %v",
+					trial, round, got, want, cnf, assumptions)
 			}
 			if got == SatSat {
 				checkModel(t, s, cnf, trial)

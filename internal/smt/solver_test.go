@@ -2,6 +2,7 @@ package smt
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"vsd/internal/bv"
@@ -26,6 +27,24 @@ func checkUnsat(t *testing.T, s *Solver, cons []*expr.Expr) {
 	t.Helper()
 	if r, _ := s.Check(cons); r != Unsat {
 		t.Fatalf("Check = %v, want unsat (constraints: %v)", r, cons)
+	}
+}
+
+// TestStatsAddCoversEveryField: Add must sum every counter, so a field
+// added to Stats without an Add line fails here.
+func TestStatsAddCoversEveryField(t *testing.T) {
+	var one Stats
+	rv := reflect.ValueOf(&one).Elem()
+	for i := 0; i < rv.NumField(); i++ {
+		rv.Field(i).SetInt(1)
+	}
+	sum := one
+	sum.Add(one)
+	sv := reflect.ValueOf(sum)
+	for i := 0; i < sv.NumField(); i++ {
+		if got := sv.Field(i).Int(); got != 2 {
+			t.Errorf("Stats.Add: %s = %d, want 2", sv.Type().Field(i).Name, got)
+		}
 	}
 }
 
@@ -207,13 +226,18 @@ func TestSymbolicStoreThenSelect(t *testing.T) {
 func TestUnknownOnBudgetExhaustion(t *testing.T) {
 	s := New(Options{MaxConflicts: 1, DisableIntervals: true})
 	// A multiplication puzzle the SAT core cannot finish in one conflict:
-	// x*y == product of two primes with nontrivial factors required.
-	x := expr.Var("x", 24)
-	y := expr.Var("y", 24)
+	// x*y == product of two primes with nontrivial factors required. The
+	// 16-bit bounds rule out wrap-around, so only the factorization
+	// solves it (modulo 2^w an odd product has trivial solutions such as
+	// y = -1, which a single descent can hit).
+	x := expr.Var("x", 32)
+	y := expr.Var("y", 32)
 	cons := []*expr.Expr{
-		expr.Eq(expr.Mul(x, y), expr.Const(24, 7919*6101&0xffffff)),
-		expr.Ult(expr.Const(24, 1), x),
-		expr.Ult(expr.Const(24, 1), y),
+		expr.Eq(expr.Mul(x, y), expr.Const(32, 7919*6101)),
+		expr.Ult(expr.Const(32, 1), x),
+		expr.Ult(expr.Const(32, 1), y),
+		expr.Ult(x, expr.Const(32, 1<<16)),
+		expr.Ult(y, expr.Const(32, 1<<16)),
 	}
 	r, _ := s.Check(cons)
 	if r == Sat {

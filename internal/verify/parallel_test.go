@@ -1,9 +1,13 @@
 package verify
 
 import (
+	"bytes"
+	"strings"
 	"sync"
 	"testing"
 
+	"vsd/internal/expr"
+	"vsd/internal/ir"
 	"vsd/internal/packet"
 )
 
@@ -74,6 +78,67 @@ func TestParallelMatchesSequential(t *testing.T) {
 				t.Errorf("bound: sequential=%d parallel=%d", b1.MaxSteps, b2.MaxSteps)
 			}
 		})
+	}
+}
+
+// TestParallelBoundWitnessDeterministic: at Parallelism > 1 any walker
+// may stitch the bound's attaining path, so the reported packet must not
+// come from that walker's session. Fresh verifiers must agree on it byte
+// for byte.
+func TestParallelBoundWitnessDeterministic(t *testing.T) {
+	var first []byte
+	for i := 0; i < 8; i++ {
+		v := New(Options{MinLen: packet.MinFrame, MaxLen: 48, Parallelism: 4})
+		rep, err := v.BoundedInstructions(parsePipeline(t, storeTestPipeline))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Witness.Packet) == 0 {
+			t.Fatalf("run %d: no witness packet: %+v", i, rep.Witness)
+		}
+		if i == 0 {
+			first = rep.Witness.Packet
+		} else if !bytes.Equal(rep.Witness.Packet, first) {
+			t.Fatalf("run %d: witness %x, run 0 had %x", i, rep.Witness.Packet, first)
+		}
+	}
+}
+
+// TestBoundWitnessChecksKeptModel: without the fresh re-solve (Batch's
+// admission path) the walker's model is kept, and it must still be
+// checked against the attaining path. With the re-solve, a fresh model
+// replaces it and that solve is counted in Stats.
+func TestBoundWitnessChecksKeptModel(t *testing.T) {
+	p := parsePipeline(t, storeTestPipeline)
+	v := New(Options{MinLen: packet.MinFrame, MaxLen: 48, Parallelism: 2})
+	var top *composed
+	if err := v.walk(p, nil, func(end pathEnd) error {
+		if end.disp != ir.Crashed && (top == nil || end.state.steps > top.steps) {
+			top = end.state
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if top == nil {
+		t.Fatal("no non-crashing path")
+	}
+	// The longest path passes Classifier(12/0800); the all-zero packet
+	// does not.
+	top.model = expr.NewAssignment()
+	if _, err := v.boundWitness(p, top, false); err == nil || !strings.Contains(err.Error(), "violates path constraint") {
+		t.Fatalf("corrupted walker model accepted: err=%v", err)
+	}
+	before := v.Stats().Solver.Queries
+	w, err := v.boundWitness(p, top, true)
+	if err != nil {
+		t.Fatalf("fresh re-solve: %v", err)
+	}
+	if len(w.Packet) == 0 {
+		t.Fatalf("fresh re-solve gave no packet: %+v", w)
+	}
+	if got := v.Stats().Solver.Queries; got <= before {
+		t.Errorf("fresh re-solve not counted: solver queries %d -> %d", before, got)
 	}
 }
 

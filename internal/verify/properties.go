@@ -9,6 +9,7 @@ import (
 	"vsd/internal/click"
 	"vsd/internal/expr"
 	"vsd/internal/ir"
+	"vsd/internal/smt"
 	"vsd/internal/symbex"
 )
 
@@ -155,6 +156,15 @@ type BoundReport struct {
 // instructions that each pipeline may ever execute and which input
 // causes it".
 func (v *Verifier) BoundedInstructions(p *click.Pipeline) (*BoundReport, error) {
+	return v.boundedInstructions(p, true)
+}
+
+// boundedInstructions is BoundedInstructions; fresh selects the fresh
+// re-solve of the attaining path (see boundWitness). Batch passes false:
+// admission verdicts carry the bound, not the packet attaining it, so
+// they keep the walker's model, which boundWitness still checks against
+// the path.
+func (v *Verifier) boundedInstructions(p *click.Pipeline, fresh bool) (*BoundReport, error) {
 	sp := v.tel.main.Begin("property", "bounded-instructions")
 	defer sp.End()
 	rep := &BoundReport{}
@@ -187,7 +197,7 @@ func (v *Verifier) BoundedInstructions(p *click.Pipeline) (*BoundReport, error) 
 		return nil, err
 	}
 	if maxState != nil {
-		w, err := v.witness(p, maxState, nil)
+		w, err := v.boundWitness(p, maxState, fresh)
 		switch {
 		case errors.Is(err, errUnresolved):
 			// The bound itself stays sound (it is a maximum over paths the
@@ -333,6 +343,40 @@ func (v *Verifier) witness(p *click.Pipeline, st *composed, extraPre []*expr.Exp
 		return Witness{}, err
 	}
 	return Witness{Packet: packetFromModel(m, v.opts.MinLen, v.opts.MaxLen), Path: pathName(p, st)}, nil
+}
+
+// boundWitness is witness for the path attaining the instruction bound.
+// At Parallelism > 1 the walker's model for that path depends on the
+// schedule: whichever worker stitched the path solved it, and the model
+// a session returns depends on its search history (learnt clauses,
+// saved phases) and on models the verdict cache kept from other
+// sessions. With fresh set, the path condition is re-solved on a
+// throwaway solver, whose model depends on the path alone, so a warm
+// run over a summary store reports the cold run's bytes. When that
+// solve is not Sat (budget, injected fault, interrupt) the walker's
+// model stands. witness checks whichever model is kept against every
+// path constraint.
+func (v *Verifier) boundWitness(p *click.Pipeline, st *composed, fresh bool) (w Witness, err error) {
+	if fresh && v.parallelism() > 1 {
+		defer v.capturePanic("witness extraction", nil, &err)
+		fs := smt.New(v.solver.Opts)
+		defer func() {
+			v.mu.Lock()
+			v.stats.Solver.Add(fs.Stats())
+			v.mu.Unlock()
+		}()
+		sess := fs.NewSession()
+		v.tel.bindSession(sess, v.tel.main)
+		defer v.tel.bindSession(sess, nil)
+		lbl := ""
+		if v.tel.active() {
+			lbl = pathName(p, st)
+		}
+		if _, m, _ := v.feasible(sess, &composed{}, st.conds, nil, "witness", lbl); m != nil {
+			st.model = m
+		}
+	}
+	return v.witness(p, st, nil)
 }
 
 // packetFromModel materializes the symbolic entry packet of a model.

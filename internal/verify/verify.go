@@ -54,24 +54,6 @@ type Options struct {
 	// vsdserve can bound worst-case latency.
 	SolverMaxConflicts int64
 	SolverTimeout      time.Duration
-	// The SAT performance layer (DESIGN.md §10) is on by default; these
-	// knobs exist for the ablation benchmarks. DisableSATPreprocess
-	// skips CNF preprocessing (bounded variable elimination +
-	// subsumption), DisablePortfolio never races diversified clones on
-	// hard obligations, and DisableClauseSharing keeps each session's
-	// learnt clauses private instead of exchanging low-glue ones.
-	DisableSATPreprocess bool
-	DisablePortfolio     bool
-	DisableClauseSharing bool
-	// SolverExchange selects the clause-exchange scope. nil gives each
-	// Verifier its own exchange: the parallel walk's workers share
-	// clauses with each other, and two Verifier instances stay fully
-	// independent (reports are reproducible run to run). Passing
-	// smt.SharedExchange() opts into the process-wide pool — long-lived
-	// services like vsdserve reuse clause work across requests at the
-	// cost of cross-instance reproducibility of witness bytes (verdicts
-	// are unaffected).
-	SolverExchange *smt.ClauseExchange
 	// SolverFaultHook forwards to smt.Options.FaultHook: the
 	// fault-injection harness's solver-level hook (internal/faultinject)
 	// forcing Unknown verdicts, timeouts, or panics into individual SAT
@@ -94,32 +76,15 @@ type Options struct {
 	Profile bool
 }
 
-// DefaultPortfolio is the number of diversified solver clones raced on a
-// hard obligation when portfolio solving is enabled.
-const DefaultPortfolio = 3
-
 // solverOptions translates the verifier-level solver knobs into
 // smt.Options (shared by the compositional verifier and the monolithic
-// baseline so ablations compare like with like). With sharing enabled
-// and no explicit SolverExchange, each call allocates a fresh exchange —
-// instance-scoped sharing.
+// baseline so ablations compare like with like).
 func (o Options) solverOptions() smt.Options {
-	so := smt.Options{
+	return smt.Options{
 		MaxConflicts: o.SolverMaxConflicts,
 		QueryTimeout: o.SolverTimeout,
-		Preprocess:   !o.DisableSATPreprocess,
 		FaultHook:    o.SolverFaultHook,
 	}
-	if !o.DisablePortfolio {
-		so.Portfolio = DefaultPortfolio
-	}
-	if !o.DisableClauseSharing {
-		so.Exchange = o.SolverExchange
-		if so.Exchange == nil {
-			so.Exchange = smt.NewClauseExchange(0, 0)
-		}
-	}
-	return so
 }
 
 // DefaultMaxRefinedReads is the refinement cap used when
@@ -164,8 +129,9 @@ type Stats struct {
 	// mask a regressed tail; BENCH records carry these since PR 10).
 	SolveTimes     telemetry.HistSummary
 	SummarizeTimes telemetry.HistSummary
-	// Solver carries the shared solver's counters, including the
-	// incremental-session ones (assumption solves, reused clauses).
+	// Solver carries the counters of the shared solver, including the
+	// incremental-session ones (assumption solves, reused clauses), plus
+	// those of the throwaway solvers that re-solve bound witnesses.
 	Solver smt.Stats
 }
 
@@ -307,7 +273,7 @@ func (v *Verifier) Stats() Stats {
 	s.SolverQueries = v.solverQueries.Load()
 	s.PanicsRecovered = int(v.panicsRecovered.Load())
 	s.WatchdogFired = int(v.watchdogFired.Load())
-	s.Solver = v.solver.Stats()
+	s.Solver.Add(v.solver.Stats())
 	s.SolveTimes = v.tel.solveHist.Summary()
 	s.SummarizeTimes = v.tel.summarizeHist.Summary()
 	return s
@@ -514,8 +480,12 @@ func (v *Verifier) summarize(e *click.Instance) (segs []*symbex.Segment, merged 
 }
 
 // summarizeAll runs Step 1 for every pipeline element, fanning distinct
-// element classes out across the worker pool.
+// element classes out across the worker pool. Its phase span is opened
+// here rather than by the callers, so every caller's Step-1 time is
+// attributed to the phase.
 func (v *Verifier) summarizeAll(elems []*click.Instance) ([][]*symbex.Segment, error) {
+	sp := v.tel.main.Begin("phase", "step1:summarize-all")
+	defer sp.End()
 	out := make([][]*symbex.Segment, len(elems))
 	par := v.parallelism()
 	if par > len(elems) {
@@ -905,13 +875,11 @@ func (v *Verifier) walk(p *click.Pipeline, extraPre []*expr.Expr, visit func(pat
 	if limit <= 0 {
 		limit = DefaultMaxComposedPaths
 	}
-	sp := v.tel.main.Begin("phase", "step1:summarize-all")
 	summaries, err := v.summarizeAll(p.Elements)
-	sp.End()
 	if err != nil {
 		return err
 	}
-	sp = v.tel.main.Begin("phase", "step2:walk")
+	sp := v.tel.main.Begin("phase", "step2:walk")
 	defer sp.End()
 	w := &walker{
 		v:         v,

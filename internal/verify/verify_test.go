@@ -1,6 +1,10 @@
 package verify
 
 import (
+	"bytes"
+	"encoding/json"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"vsd/internal/bv"
@@ -11,6 +15,7 @@ import (
 	"vsd/internal/ir"
 	"vsd/internal/packet"
 	"vsd/internal/symbex"
+	"vsd/internal/telemetry"
 )
 
 func parsePipeline(t *testing.T, src string) *click.Pipeline {
@@ -413,6 +418,69 @@ func TestVerifierStatsAndPre(t *testing.T) {
 	for _, c := range pre {
 		if !expr.Eval(c, asn).IsTrue() {
 			t.Errorf("len=64 violates precondition %s", c)
+		}
+	}
+}
+
+// TestStep1PhaseSpanCoversSummaries pins the phase accounting of a
+// traced serial verification: every Step-1 element summarization
+// (summarize:*) must lie inside a step1:summarize-all phase span, so the
+// phase carries the real Step-1 time instead of only a cache-hit rerun.
+func TestStep1PhaseSpanCoversSummaries(t *testing.T) {
+	p := parsePipeline(t, `
+		src :: InfiniteSource;
+		e1 :: ToyE1;
+		e2 :: ToyE2;
+		sink :: Discard;
+		src -> e1 -> e2 -> sink;
+	`)
+	var clock atomic.Int64
+	tr := telemetry.New(telemetry.Opts{Now: func() int64 { return clock.Add(1000) }})
+	v := New(Options{MinLen: packet.MinFrame, MaxLen: 64, Parallelism: 1, Trace: tr})
+	if _, err := v.CrashFreedom(p); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string  `json:"name"`
+			Ph   string  `json:"ph"`
+			TS   float64 `json:"ts"`
+			Dur  float64 `json:"dur"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	type span struct{ start, end float64 }
+	var phases, summaries []span
+	for _, e := range doc.TraceEvents {
+		if e.Ph != "X" {
+			continue
+		}
+		switch {
+		case e.Name == "step1:summarize-all":
+			phases = append(phases, span{e.TS, e.TS + e.Dur})
+		case strings.HasPrefix(e.Name, "summarize:"):
+			summaries = append(summaries, span{e.TS, e.TS + e.Dur})
+		}
+	}
+	if len(summaries) == 0 {
+		t.Fatal("no summarize:* spans recorded")
+	}
+	for _, s := range summaries {
+		inside := false
+		for _, ph := range phases {
+			if ph.start <= s.start && s.end <= ph.end {
+				inside = true
+				break
+			}
+		}
+		if !inside {
+			t.Errorf("summarize span [%v, %v] lies outside every step1:summarize-all span %v", s.start, s.end, phases)
 		}
 	}
 }
