@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 build test race bench bench-json examples serve-smoke store-roundtrip seq-smoke chaos-smoke tput-smoke trace-smoke perfbench-check
+.PHONY: tier1 build test race bench bench-json examples serve-smoke store-roundtrip seq-smoke chaos-smoke tput-smoke trace-smoke perfbench-check ablation-smoke
 
 # tier1 is the repo's gate: everything must build, vet clean, and every
 # test pass.
@@ -122,6 +122,13 @@ trace-smoke:
 # to the API it uses fails here instead of at benchmark time (CI runs it).
 perfbench-check:
 	cd perfbench && $(GO) build ./... && $(GO) vet ./... && $(GO) test -short ./...
+
+# ablation-smoke runs the solver and cache ablation benchmarks once each
+# (interval pre-pass on/off, summary reuse across positions, throwaway
+# versus long-lived sessions), so a change to the APIs they drive fails
+# here instead of at benchmark time (CI runs it).
+ablation-smoke:
+	$(GO) test -run '^$$' -bench 'Ablation(Intervals|SummaryCache|IncrementalSAT)' -benchtime 1x .
 
 # bench-json records the benchmark trajectory: one BENCH_<n>.json per
 # snapshot, so regressions are visible across the history. BENCH_OUT has

@@ -113,7 +113,6 @@ func solverMetrics(m map[string]float64, st smt.Stats) {
 	m["cache-hits"] = float64(st.CacheHits)
 	m["interval-decided"] = float64(st.IntervalDecided)
 	m["sessions-opened"] = float64(st.SessionsOpened)
-	m["assumption-solves"] = float64(st.AssumptionSolves)
 	m["reused-clauses"] = float64(st.ClausesReused)
 	// CNF-minimization counters: emitted formula size and structural gate
 	// cache (per-query averages are size/sat-calls).
@@ -250,7 +249,7 @@ func runE1(ctx *benchCtx) error {
 		return err
 	}
 	ctx.printf("%-22s %-9s %9s %9s %11s %13s %13s %12s\n",
-		"pipeline", "verdict", "suspects", "composed", "infeasible", "assume-solve", "reused-cls", "time")
+		"pipeline", "verdict", "suspects", "composed", "infeasible", "sat-calls", "reused-cls", "time")
 	for _, r := range rows {
 		verdict := "VERIFIED"
 		if !r.Verified {
@@ -258,7 +257,7 @@ func runE1(ctx *benchCtx) error {
 		}
 		ctx.printf("%-22s %-9s %9d %9d %11d %13d %13d %12v\n",
 			r.Pipeline, verdict, r.Suspects, r.Composed, r.Infeasib,
-			r.Solver.AssumptionSolves, r.Solver.ClausesReused, r.Duration.Round(1e6))
+			r.Solver.SatCalls, r.Solver.ClausesReused, r.Duration.Round(1e6))
 		m := map[string]float64{
 			"suspects":   float64(r.Suspects),
 			"composed":   float64(r.Composed),

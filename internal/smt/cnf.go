@@ -2,7 +2,6 @@ package smt
 
 import (
 	"fmt"
-	"sync"
 
 	"vsd/internal/bv"
 	"vsd/internal/expr"
@@ -38,18 +37,7 @@ type blaster struct {
 	gateHits int64
 }
 
-// blasterPool recycles blasters (and their SAT instances) across
-// queries: one-shot Solver.Check used to rebuild variable 0, the
-// constant clauses, and every per-variable slice per query; a pooled
-// blaster resets in place and keeps its allocations warm.
-var blasterPool sync.Pool
-
 func newBlaster() *blaster {
-	if v := blasterPool.Get(); v != nil {
-		b := v.(*blaster)
-		b.reset()
-		return b
-	}
 	b := &blaster{
 		sat:     NewSatSolver(),
 		exprMem: map[*expr.Expr][]Lit{},
@@ -59,23 +47,6 @@ func newBlaster() *blaster {
 	}
 	b.pinConstants()
 	return b
-}
-
-// release returns the blaster to the pool. The caller must not use it
-// (or literals/models read from it) afterwards.
-func (b *blaster) release() {
-	blasterPool.Put(b)
-}
-
-func (b *blaster) reset() {
-	b.sat.reset()
-	b.sat.MaxConflicts = 0
-	clear(b.exprMem)
-	clear(b.varBits)
-	clear(b.divMem)
-	clear(b.gates)
-	b.gateHits = 0
-	b.pinConstants()
 }
 
 // pinConstants allocates variable 0 and pins it true so constant bits

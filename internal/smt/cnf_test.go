@@ -12,7 +12,6 @@ import (
 // variables.
 func TestGateCacheHitIdentity(t *testing.T) {
 	b := newBlaster()
-	defer b.release()
 	x := b.fresh()
 	y := b.fresh()
 
@@ -52,7 +51,6 @@ func TestGateCacheHitIdentity(t *testing.T) {
 // expression containing the shared subterm adds no gates for it.
 func TestBlastMemoIdentity(t *testing.T) {
 	b := newBlaster()
-	defer b.release()
 	x := expr.Var("x", 16)
 	y := expr.Var("y", 16)
 	sum := expr.Add(x, y)
@@ -150,7 +148,6 @@ func TestCNFSizeCeilings(t *testing.T) {
 	for _, c := range cnfCeilings() {
 		t.Run(c.name, func(t *testing.T) {
 			b := newBlaster()
-			defer b.release()
 			b.assertTrue(c.build())
 			vars := b.sat.NumVars()
 			clauses := b.sat.Counters().ClausesAdded
@@ -177,7 +174,7 @@ func TestEqualitySubstitution(t *testing.T) {
 	t.Run("const-propagation-decides", func(t *testing.T) {
 		s := New(Options{})
 		// x = 5 ∧ x + y = 12 ∧ y ≠ 7 is unsat.
-		res, _ := s.Check([]*expr.Expr{
+		res, _ := s.NewSession().Check([]*expr.Expr{
 			expr.Eq(x, expr.Const(16, 5)),
 			expr.Eq(expr.Add(x, y), expr.Const(16, 12)),
 			expr.Ne(y, expr.Const(16, 7)),
@@ -189,7 +186,7 @@ func TestEqualitySubstitution(t *testing.T) {
 
 	t.Run("alias-and-const", func(t *testing.T) {
 		s := New(Options{})
-		res, m := s.Check([]*expr.Expr{
+		res, m := s.NewSession().Check([]*expr.Expr{
 			expr.Eq(x, y),
 			expr.Eq(y, z),
 			expr.Eq(z, expr.Const(16, 500)),
@@ -207,7 +204,7 @@ func TestEqualitySubstitution(t *testing.T) {
 
 	t.Run("conflicting-consts", func(t *testing.T) {
 		s := New(Options{DisableIntervals: true})
-		res, _ := s.Check([]*expr.Expr{
+		res, _ := s.NewSession().Check([]*expr.Expr{
 			expr.Eq(x, y),
 			expr.Eq(x, expr.Const(16, 1)),
 			expr.Eq(y, expr.Const(16, 2)),

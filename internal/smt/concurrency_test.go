@@ -9,10 +9,10 @@ import (
 	"vsd/internal/expr"
 )
 
-// TestSolverConcurrentCheck hammers one Solver from many goroutines
-// (run under -race): queries share the verdict cache and statistics, and
-// every goroutine must read verdicts consistent with a sequential
-// reference run.
+// TestSolverConcurrentCheck hammers one Solver from many goroutines,
+// each on its own session (run under -race): queries share the verdict
+// cache and statistics, and every goroutine must read verdicts
+// consistent with a sequential reference run.
 func TestSolverConcurrentCheck(t *testing.T) {
 	const goroutines = 8
 	const queriesPer = 60
@@ -27,7 +27,7 @@ func TestSolverConcurrentCheck(t *testing.T) {
 		}
 	}
 	// Sequential reference.
-	ref := New(Options{})
+	ref := New(Options{}).NewSession()
 	want := make([]Result, goroutines*queriesPer)
 	for i := range want {
 		want[i], _ = ref.Check(mkQuery(i % 97))
@@ -39,9 +39,10 @@ func TestSolverConcurrentCheck(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			sess := solver.NewSession()
 			for q := 0; q < queriesPer; q++ {
 				i := g*queriesPer + q
-				got, m := solver.Check(mkQuery(i % 97))
+				got, m := sess.Check(mkQuery(i % 97))
 				if got != want[i] {
 					errs <- fmt.Sprintf("query %d: got %v want %v", i, got, want[i])
 					return
@@ -70,8 +71,8 @@ func TestSolverConcurrentCheck(t *testing.T) {
 // TestIncrementalSessionQueryLogEquivalence replays a recorded,
 // stitching-shaped query log — growing prefixes, branch atoms, and
 // non-superset jumps back to shorter prefixes — through an
-// IncrementalSession and through one-shot Check on an independent
-// solver. Verdicts must match query by query, and every Sat model must
+// IncrementalSession and through a fresh solver and session per query.
+// Verdicts must match query by query, and every Sat model must
 // satisfy its query (model equivalence up to the solution set).
 func TestIncrementalSessionQueryLogEquivalence(t *testing.T) {
 	pkt := expr.BaseArray("qlpkt")
@@ -103,9 +104,9 @@ func TestIncrementalSessionQueryLogEquivalence(t *testing.T) {
 	sess := solver.NewSession()
 	for qi, q := range log {
 		rs, ms := sess.Check(q)
-		ro, _ := New(Options{}).Check(q) // fresh solver: no cache crosstalk
+		ro, _ := New(Options{}).NewSession().Check(q) // fresh solver: no cache crosstalk
 		if rs != ro {
-			t.Fatalf("query %d: session=%v oneshot=%v", qi, rs, ro)
+			t.Fatalf("query %d: session=%v fresh=%v", qi, rs, ro)
 		}
 		if rs == Sat {
 			for _, c := range q {
@@ -116,8 +117,8 @@ func TestIncrementalSessionQueryLogEquivalence(t *testing.T) {
 		}
 	}
 	st := solver.Stats()
-	if st.AssumptionSolves == 0 {
-		t.Error("expected assumption solves on the incremental path")
+	if st.SatCalls == 0 {
+		t.Error("expected SAT calls on the incremental path")
 	}
 	if st.SessionsOpened == 0 {
 		t.Error("expected a session to be counted")

@@ -3,8 +3,9 @@
 // bitvector constraints over internal/expr terms, built as a layered
 // pipeline of cheap passes in front of a CDCL SAT core.
 //
-// A query runs through (Solver.preSolve, shared by the one-shot and
-// incremental paths):
+// Every query runs through one path, IncrementalSession.Check: the cheap
+// passes of Solver.preSolve (1-3), then the session's SAT instance
+// (4-5):
 //
 //  1. conjunction flattening and constant folding — most symbolic-
 //     execution queries die here;
@@ -26,7 +27,9 @@
 // per caller: each distinct atom is blasted once behind an activation
 // guard, queries assert their atom set as assumptions, and learnt
 // clauses carry over between queries. The verifier's workers and the
-// symbolic-execution engines each own a session; the Solver itself is
+// symbolic-execution engines each own a session; a caller that wants
+// an independent answer opens a throwaway one. The Solver itself holds
+// the options, statistics and verdict cache its sessions share, and is
 // safe for concurrent use by many sessions.
 //
 // Sat verdicts come with a model (expr.Assignment) that the verifier

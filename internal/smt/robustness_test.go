@@ -29,7 +29,7 @@ func hardQuery() []*expr.Expr {
 func TestFaultHookForcesUnknown(t *testing.T) {
 	for _, fault := range []SolveFault{ForceUnknown, ForceTimeout} {
 		s := New(Options{FaultHook: func() SolveFault { return fault }})
-		r, m := s.Check(hardQuery())
+		r, m := s.NewSession().Check(hardQuery())
 		if r != Unknown || m != nil {
 			t.Fatalf("fault %v: Check = %v (model %v), want Unknown", fault, r, m)
 		}
@@ -50,7 +50,7 @@ func TestFaultHookPanicPropagates(t *testing.T) {
 			t.Fatal("ForcePanic did not panic")
 		}
 	}()
-	s.Check(hardQuery())
+	s.NewSession().Check(hardQuery())
 }
 
 func TestFaultHookOneShotThenClean(t *testing.T) {
@@ -63,10 +63,10 @@ func TestFaultHookOneShotThenClean(t *testing.T) {
 		}
 		return NoFault
 	}})
-	if r, _ := s.Check(hardQuery()); r != Unknown {
+	if r, _ := s.NewSession().Check(hardQuery()); r != Unknown {
 		t.Fatalf("first Check = %v, want Unknown", r)
 	}
-	r, m := s.Check(hardQuery())
+	r, m := s.NewSession().Check(hardQuery())
 	if r != Sat || m == nil {
 		t.Fatalf("retry Check = %v, want Sat with model", r)
 	}
@@ -81,7 +81,7 @@ func TestInterruptCancelsSearches(t *testing.T) {
 	var interrupt atomic.Bool
 	s := New(Options{Interrupt: &interrupt})
 	interrupt.Store(true)
-	if r, _ := s.Check(hardQuery()); r != Unknown {
+	if r, _ := s.NewSession().Check(hardQuery()); r != Unknown {
 		t.Fatalf("interrupted Check = %v, want Unknown", r)
 	}
 	if st := s.Stats(); st.Interrupted == 0 {
@@ -89,7 +89,7 @@ func TestInterruptCancelsSearches(t *testing.T) {
 	}
 	// Clearing the flag restores service — the watchdog's Resume path.
 	interrupt.Store(false)
-	if r, m := s.Check(hardQuery()); r != Sat || m == nil {
+	if r, m := s.NewSession().Check(hardQuery()); r != Sat || m == nil {
 		t.Fatalf("post-resume Check = %v, want Sat", r)
 	}
 }

@@ -219,45 +219,6 @@ func NewSatSolver() *SatSolver {
 	return s
 }
 
-// reset returns the solver to its empty state while keeping every
-// allocation (arenas, per-variable slices, watch lists, scratch) warm,
-// so pooled blasters stop paying per-query construction cost.
-func (s *SatSolver) reset() {
-	s.cdb = s.cdb[:0]
-	s.larena = s.larena[:0]
-	s.clauses = s.clauses[:0]
-	s.learnts = s.learnts[:0]
-	// Truncate the outer watch slices but keep the inner ones: NewVar
-	// re-extends into the capacity and empties them in place, preserving
-	// each literal's watcher storage across queries.
-	s.watches = s.watches[:0]
-	s.binWatches = s.binWatches[:0]
-	s.assign = s.assign[:0]
-	s.level = s.level[:0]
-	s.reason = s.reason[:0]
-	s.trail = s.trail[:0]
-	s.trailLim = s.trailLim[:0]
-	s.qhead = 0
-	s.activity = s.activity[:0]
-	s.varInc = 1
-	s.claInc = 1
-	s.polarity = s.polarity[:0]
-	s.order.reset()
-	s.orderStale = false
-	s.seen = s.seen[:0]
-	s.ok = true
-	s.cnt = SatCounters{}
-	s.deadLits = 0
-	s.restartBase = lubyRestartBase
-	s.reduceMin = reduceDBMin
-	s.compactMin = compactDBMin
-	s.MaxConflicts = 0
-	s.Deadline = time.Time{}
-	s.Interrupt = nil
-	s.model = s.model[:0]
-	s.preClauses = 0
-}
-
 // lits returns clause c's literals (aliasing the arena).
 func (s *SatSolver) lits(c cref) []Lit {
 	h := &s.cdb[c]
@@ -282,24 +243,10 @@ func (s *SatSolver) NewVar() int32 {
 	s.activity = append(s.activity, 0)
 	s.polarity = append(s.polarity, false)
 	s.seen = append(s.seen, false)
-	s.watches = extendWatches(s.watches)
-	s.binWatches = extendWatches(s.binWatches)
+	s.watches = append(s.watches, nil, nil)
+	s.binWatches = append(s.binWatches, nil, nil)
 	s.order.push(v)
 	return v
-}
-
-// extendWatches grows a per-literal watch table by two slots, reusing
-// (and emptying) slots retained by a previous reset instead of
-// discarding their backing arrays.
-func extendWatches[T any](w [][]T) [][]T {
-	n := len(w)
-	if cap(w) >= n+2 {
-		w = w[:n+2]
-		w[n] = w[n][:0]
-		w[n+1] = w[n+1][:0]
-		return w
-	}
-	return append(w, nil, nil)
 }
 
 // NumVars returns the number of variables allocated.
@@ -1001,11 +948,6 @@ type varHeap struct {
 
 func (h *varHeap) less(a, b int32) bool { return (*h.act)[a] > (*h.act)[b] }
 
-func (h *varHeap) reset() {
-	h.items = h.items[:0]
-	h.pos = h.pos[:0]
-}
-
 // rebuild reconstitutes the heap from every unassigned variable in one
 // O(n) heapify — the counterpart of a bulk cancelUntil, which skips the
 // per-variable pushes.
@@ -1021,11 +963,6 @@ func (h *varHeap) rebuild(assign []lbool) {
 		} else {
 			h.pos[v] = -1
 		}
-	}
-	// Stale tail positions (a pooled instance may have shrunk) and the
-	// heap order are restored in O(n).
-	for i := len(assign); i < len(h.pos); i++ {
-		h.pos[i] = -1
 	}
 	for i := len(h.items)/2 - 1; i >= 0; i-- {
 		h.down(i)

@@ -206,39 +206,6 @@ func TestSatFuzzAssumptions(t *testing.T) {
 	}
 }
 
-// TestSatFuzzPooledReset runs fuzz rounds through one solver instance
-// with reset between formulas, validating that pooled blaster reuse
-// (warm arenas, truncated state) cannot leak state across queries.
-func TestSatFuzzPooledReset(t *testing.T) {
-	r := rand.New(rand.NewSource(99))
-	s := NewSatSolver()
-	for trial := 0; trial < 200; trial++ {
-		s.reset()
-		nv := 2 + r.Intn(15)
-		for i := 0; i < nv; i++ {
-			s.NewVar()
-		}
-		cnf := randCNF(r, nv)
-		early := false
-		for _, cl := range cnf {
-			if !s.AddClause(append([]Lit{}, cl...)...) {
-				early = true
-				break
-			}
-		}
-		want := bruteForceSatUnder(nv, cnf, nil)
-		if early {
-			if want {
-				t.Fatalf("trial %d: AddClause declared unsat but formula is sat", trial)
-			}
-			continue
-		}
-		if got := s.Solve(); (got == SatSat) != want {
-			t.Fatalf("trial %d: Solve = %v, brute force = %v, cnf = %v", trial, got, want, cnf)
-		}
-	}
-}
-
 // TestSatFuzzHardSearch generates random 3-CNF at the phase-transition
 // clause ratio (~4.3), where search is genuinely hard, with restart and
 // reduceDB thresholds lowered so the deep CDCL machinery (Luby

@@ -68,9 +68,6 @@ func (s *Solver) NewSession() *IncrementalSession {
 // underlying solver instance.
 func (sess *IncrementalSession) recycle() {
 	sess.owner.stats.sessions.Add(1)
-	if sess.bl != nil {
-		sess.bl.release()
-	}
 	sess.bl = newBlaster()
 	sess.lastCnts = blasterCounters{}
 	sess.guards = map[*expr.Expr]Lit{}
@@ -175,8 +172,11 @@ func (sess *IncrementalSession) varsOf(a *expr.Expr) []*expr.Expr {
 	return vs
 }
 
-// Check decides satisfiability of the conjunction incrementally. The
-// result contract matches Solver.Check.
+// Check decides whether the conjunction of the given 1-bit expressions
+// is satisfiable. On Sat it returns a model assigning every free
+// variable and the bytes of every base array mentioned by the
+// constraints; Unknown means a budget, deadline or interrupt stopped the
+// search and is never a verdict.
 func (sess *IncrementalSession) Check(constraints []*expr.Expr) (Result, *expr.Assignment) {
 	s := sess.owner
 	start := time.Now()
@@ -189,7 +189,6 @@ func (sess *IncrementalSession) Check(constraints []*expr.Expr) (Result, *expr.A
 		sess.recycle()
 	}
 	s.stats.satCalls.Add(1)
-	s.stats.assumptionSolves.Add(1)
 	s.stats.clausesReused.Add(int64(sess.bl.sat.NumLearnts()))
 	assumptions := make([]Lit, len(pq.atoms))
 	for i, a := range pq.atoms {

@@ -67,8 +67,9 @@ func TestSessionClauseAdditionAfterSat(t *testing.T) {
 	}
 }
 
-// TestSessionAgainstStatelessSolver cross-checks the incremental path
-// against the stateless Check on random query sequences sharing
+// TestSessionAgainstStatelessSolver cross-checks one long-lived session
+// against a fresh solver and session per query (no learnt clauses, no
+// verdict cache carried over) on random query sequences sharing
 // variables and packet-array selects.
 func TestSessionAgainstStatelessSolver(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
@@ -94,7 +95,6 @@ func TestSessionAgainstStatelessSolver(t *testing.T) {
 	}
 	solver := New(Options{})
 	sess := solver.NewSession()
-	stateless := New(Options{})
 	for q := 0; q < 120; q++ {
 		n := 1 + r.Intn(4)
 		cons := make([]*expr.Expr, n)
@@ -102,7 +102,7 @@ func TestSessionAgainstStatelessSolver(t *testing.T) {
 			cons[i] = atom()
 		}
 		rs, ms := sess.Check(cons)
-		rp, _ := stateless.Check(cons)
+		rp, _ := New(Options{}).NewSession().Check(cons)
 		if rs != rp {
 			t.Fatalf("query %d: session=%v stateless=%v cons=%v", q, rs, rp, cons)
 		}

@@ -1,7 +1,6 @@
 package smt
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -31,7 +30,8 @@ func (r Result) String() string {
 }
 
 // Options configures a Solver. The zero value enables every technique;
-// the Disable* knobs exist for the ablation benchmarks.
+// DisableIntervals exists for the ablation benchmarks and as the
+// reference run of the interval tests.
 type Options struct {
 	// DisableIntervals turns off the interval/constant pre-analysis, so
 	// every query goes through bit-blasting.
@@ -95,9 +95,8 @@ type Stats struct {
 	SatConflicts    int64 // conflicts accumulated across SAT calls
 	CacheHits       int64 // queries answered from the verdict cache
 	// Incremental-session counters.
-	SessionsOpened   int64 // IncrementalSession instances created (incl. recycles)
-	AssumptionSolves int64 // SAT calls made under assumptions by sessions
-	ClausesReused    int64 // learnt clauses carried into assumption solves
+	SessionsOpened int64 // IncrementalSession instances created (incl. recycles)
+	ClausesReused  int64 // learnt clauses carried into assumption solves
 	// CNF-minimization counters: the blaster's structural gate cache and
 	// the emitted formula size.
 	GateCacheHits int64 // Tseitin gates served from the structural cache
@@ -133,7 +132,6 @@ func (s *Stats) Add(o Stats) {
 	s.SatConflicts += o.SatConflicts
 	s.CacheHits += o.CacheHits
 	s.SessionsOpened += o.SessionsOpened
-	s.AssumptionSolves += o.AssumptionSolves
 	s.ClausesReused += o.ClausesReused
 	s.GateCacheHits += o.GateCacheHits
 	s.CNFVars += o.CNFVars
@@ -157,8 +155,10 @@ func (s *Stats) Add(o Stats) {
 
 // Solver decides satisfiability of conjunctions of 1-bit bitvector
 // expressions, producing models (including packet-array contents) for
-// satisfiable queries. A Solver is safe for concurrent use; each query
-// builds an independent SAT instance.
+// satisfiable queries. Queries run on the incremental sessions it hands
+// out (NewSession); the Solver holds what they share — options,
+// statistics and the verdict cache — and is safe for concurrent use by
+// many sessions.
 //
 // Verdicts are cached by the (order-insensitive) atom set: symbolic
 // execution and composition re-issue structurally identical queries —
@@ -168,7 +168,7 @@ type Solver struct {
 	Opts  Options
 	stats struct {
 		queries, folded, interval, satCalls, satConflicts, cacheHits atomic.Int64
-		sessions, assumptionSolves, clausesReused                    atomic.Int64
+		sessions, clausesReused                                      atomic.Int64
 		gateHits, cnfVars, cnfClauses                                atomic.Int64
 		minimizedLits, learntLits, learnts, glueSum, lowGlue         atomic.Int64
 		binaryProps, propagations, decisions, restarts, assumLevels  atomic.Int64
@@ -255,7 +255,6 @@ func (s *Solver) Stats() Stats {
 		SatConflicts:     s.stats.satConflicts.Load(),
 		CacheHits:        s.stats.cacheHits.Load(),
 		SessionsOpened:   s.stats.sessions.Load(),
-		AssumptionSolves: s.stats.assumptionSolves.Load(),
 		ClausesReused:    s.stats.clausesReused.Load(),
 		GateCacheHits:    s.stats.gateHits.Load(),
 		CNFVars:          s.stats.cnfVars.Load(),
@@ -365,13 +364,13 @@ type preQuery struct {
 	key   uint64
 }
 
-// preSolve runs the cheap per-query passes shared by the one-shot Check
-// and the incremental session: flattening and constant folding,
-// canonical ordering and deduplication, the verdict cache, and the
-// interval pre-analysis. When done is true the query is decided and
-// res/m hold the verdict; otherwise pq describes the undecided query. The returned slices may alias the
-// caller's scratch space — they are only valid until the next preSolve
-// call on the same goroutine.
+// preSolve runs the cheap per-query passes in front of a session's SAT
+// core: flattening and constant folding, canonical ordering and
+// deduplication, the verdict cache, and the interval pre-analysis. When
+// done is true the query is decided and res/m hold the verdict;
+// otherwise pq describes the undecided query. The returned slices may
+// alias the caller's scratch space — they are only valid until the next
+// preSolve call on the same goroutine.
 func (s *Solver) preSolve(constraints []*expr.Expr) (pq preQuery, res Result, m *expr.Assignment, done bool) {
 	s.stats.queries.Add(1)
 	atoms, early := flattenAtoms(constraints)
@@ -404,177 +403,8 @@ func (s *Solver) preSolve(constraints []*expr.Expr) (pq preQuery, res Result, m 
 	return preQuery{atoms: atoms, key: key}, Unknown, nil, false
 }
 
-// Check decides whether the conjunction of the given 1-bit expressions is
-// satisfiable. On Sat it returns a model assigning every free variable
-// and the bytes of every base array mentioned by the constraints.
-func (s *Solver) Check(constraints []*expr.Expr) (Result, *expr.Assignment) {
-	// 1.-2. Flattening, folding, dedup, verdict cache, intervals.
-	pq, res, m, done := s.preSolve(constraints)
-	if done {
-		return res, m
-	}
-
-	// 3. Ackermannize packet-array reads.
-	atoms, selects, selVars := ackermannize(pq.atoms)
-
-	// 4. Bit-blast and solve on a pooled blaster.
-	s.stats.satCalls.Add(1)
-	b := newBlaster()
-	defer b.release()
-	for _, a := range atoms {
-		b.assertTrue(a)
-	}
-	verdict := s.satSolve(b.sat)
-	s.foldBlasterCounters(b, blasterCounters{})
-	switch verdict {
-	case SatUnsat:
-		s.cachePut(pq.key, pq.atoms, Unsat, nil)
-		return Unsat, nil
-	case SatUnknown:
-		return Unknown, nil
-	}
-
-	// 5. Reconstruct the model. Variables are collected from the
-	// original atoms as well: Ackermannization removes a variable that
-	// occurs only inside a select index from every solved atom, and the
-	// index evaluation below must still read it.
-	asn := expr.NewAssignment()
-	var vars []*expr.Expr
-	for _, a := range atoms {
-		vars = expr.Vars(a, vars)
-	}
-	for _, a := range pq.atoms {
-		vars = expr.Vars(a, vars)
-	}
-	for _, v := range vars {
-		if _, ok := asn.Vars[v.Name]; !ok {
-			asn.Vars[v.Name] = b.modelVar(v.Name, v.Width())
-		}
-	}
-	// Array contents: evaluate each select's (rewritten) index under the
-	// model, then place the select variable's value at that index. The
-	// Ackermann constraints guarantee consistency.
-	// Indices are capped defensively: the IR guards every packet access
-	// with a bounds assertion, so genuine models never index past the
-	// maximum packet size, but a caller-supplied unguarded query must not
-	// make us allocate gigabytes.
-	const maxModelIndex = 1 << 20
-	for i, sel := range selects {
-		name := sel.sel.Arr.BaseName()
-		idx := expr.Eval(sel.idx, asn).Int()
-		if idx >= maxModelIndex {
-			continue
-		}
-		val := byte(asn.Vars[selVars[i]].Int())
-		content := asn.Arrays[name]
-		for uint64(len(content)) <= idx {
-			content = append(content, 0)
-		}
-		content[idx] = val
-		asn.Arrays[name] = content
-	}
-	// Drop the internal Ackermann variables from the reported model.
-	for _, n := range selVars {
-		delete(asn.Vars, n)
-	}
-	s.cachePut(pq.key, pq.atoms, Sat, asn)
-	return Sat, asn
-}
-
 // selectInfo pairs a KSelect node with its select-free rewritten index.
 type selectInfo struct {
 	sel *expr.Expr
 	idx *expr.Expr
-}
-
-// ackermannize replaces every KSelect node in the atoms with a fresh
-// 8-bit variable and appends functional-consistency constraints: for any
-// two reads of the same base array, equal indices force equal values.
-// It returns the rewritten atoms, the select descriptors, and the fresh
-// variable names (parallel slices).
-func ackermannize(atoms []*expr.Expr) ([]*expr.Expr, []selectInfo, []string) {
-	var sels []*expr.Expr
-	for _, a := range atoms {
-		sels = expr.SelectsOf(a, sels)
-	}
-	if len(sels) == 0 {
-		return atoms, nil, nil
-	}
-	// Deterministic order for reproducible encodings.
-	sort.Slice(sels, func(i, j int) bool {
-		si, sj := sels[i], sels[j]
-		if si.Arr.BaseName() != sj.Arr.BaseName() {
-			return si.Arr.BaseName() < sj.Arr.BaseName()
-		}
-		return si.B.String() < sj.B.String()
-	})
-	repl := map[*expr.Expr]*expr.Expr{}
-	names := make([]string, len(sels))
-	for i, sel := range sels {
-		names[i] = fmt.Sprintf("§sel%d", i)
-		repl[sel] = expr.Var(names[i], 8)
-	}
-	// Rewrite: replace selects bottom-up (an index expression may itself
-	// contain selects).
-	memo := map[*expr.Expr]*expr.Expr{}
-	var rw func(e *expr.Expr) *expr.Expr
-	rw = func(e *expr.Expr) *expr.Expr {
-		if e == nil {
-			return nil
-		}
-		if r, ok := memo[e]; ok {
-			return r
-		}
-		var r *expr.Expr
-		if v, ok := repl[e]; ok {
-			r = v
-		} else {
-			switch e.Kind {
-			case expr.KConst, expr.KVar:
-				r = e
-			case expr.KBin:
-				r = expr.Bin(e.Op, rw(e.A), rw(e.B))
-			case expr.KNot:
-				r = expr.Not(rw(e.A))
-			case expr.KNeg:
-				r = expr.Neg(rw(e.A))
-			case expr.KIte:
-				r = expr.Ite(rw(e.Cond), rw(e.A), rw(e.B))
-			case expr.KZExt:
-				r = expr.ZExt(rw(e.A), e.Width())
-			case expr.KSExt:
-				r = expr.SExt(rw(e.A), e.Width())
-			case expr.KTrunc:
-				r = expr.Trunc(rw(e.A), e.Width())
-			case expr.KExtract:
-				r = expr.Extract(rw(e.A), e.Lo, e.Width())
-			default:
-				panic("smt: unexpected node during Ackermannization")
-			}
-		}
-		memo[e] = r
-		return r
-	}
-	infos := make([]selectInfo, len(sels))
-	outAtoms := make([]*expr.Expr, 0, len(atoms)+len(sels)*(len(sels)-1)/2)
-	for _, a := range atoms {
-		outAtoms = append(outAtoms, rw(a))
-	}
-	for i, sel := range sels {
-		infos[i] = selectInfo{sel: sel, idx: rw(sel.B)}
-	}
-	// Functional consistency.
-	for i := 0; i < len(sels); i++ {
-		for j := i + 1; j < len(sels); j++ {
-			if sels[i].Arr.BaseName() != sels[j].Arr.BaseName() {
-				continue
-			}
-			vi, vj := expr.Var(names[i], 8), expr.Var(names[j], 8)
-			c := expr.Implies(expr.Eq(infos[i].idx, infos[j].idx), expr.Eq(vi, vj))
-			if !c.IsTrue() {
-				outAtoms = append(outAtoms, c)
-			}
-		}
-	}
-	return outAtoms, infos, names
 }

@@ -11,7 +11,7 @@ import (
 
 func checkSat(t *testing.T, s *Solver, cons []*expr.Expr) *expr.Assignment {
 	t.Helper()
-	r, m := s.Check(cons)
+	r, m := s.NewSession().Check(cons)
 	if r != Sat {
 		t.Fatalf("Check = %v, want sat (constraints: %v)", r, cons)
 	}
@@ -25,7 +25,7 @@ func checkSat(t *testing.T, s *Solver, cons []*expr.Expr) *expr.Assignment {
 
 func checkUnsat(t *testing.T, s *Solver, cons []*expr.Expr) {
 	t.Helper()
-	if r, _ := s.Check(cons); r != Unsat {
+	if r, _ := s.NewSession().Check(cons); r != Unsat {
 		t.Fatalf("Check = %v, want unsat (constraints: %v)", r, cons)
 	}
 }
@@ -239,7 +239,7 @@ func TestUnknownOnBudgetExhaustion(t *testing.T) {
 		expr.Ult(x, expr.Const(32, 1<<16)),
 		expr.Ult(y, expr.Const(32, 1<<16)),
 	}
-	r, _ := s.Check(cons)
+	r, _ := s.NewSession().Check(cons)
 	if r == Sat {
 		// A lucky first decision could satisfy it; accept Sat but verify.
 		t.Skip("budget test got lucky; acceptable")
@@ -297,7 +297,7 @@ func TestRandomFormulasAgainstEnumeration(t *testing.T) {
 		}
 		for _, disable := range []bool{false, true} {
 			s := New(Options{DisableIntervals: disable})
-			got, m := s.Check(cons)
+			got, m := s.NewSession().Check(cons)
 			if (got == Sat) != want {
 				t.Fatalf("trial %d (intervals off=%v): Check = %v, brute force sat=%v, cons=%v",
 					trial, disable, got, want, cons)

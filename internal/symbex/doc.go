@@ -53,8 +53,10 @@
 // log per store, ThreadState replays a path's state accesses in their
 // recorded interleaving (the Seq field on StateAccess/StateUpdate)
 // against it, and ScopeSubst renames every per-packet input into a
-// per-step namespace — so k packets through an element are k
-// substitutions over the segment set, never k re-executions. Initial
+// per-step namespace — so k packets are k substitutions over already
+// computed paths, never k re-executions. The sequence walk that
+// strings these together is verify's (over terminal composed paths of
+// a whole pipeline); this package holds only the primitives. Initial
 // state is either the declared defaults (InitDefault, bounded checks
 // and induction base cases) or an arbitrary Ackermann-encoded store
 // (InitSymbolic, the induction hypothesis of verify's k-induction).

@@ -1,15 +1,17 @@
 package symbex
 
-// Sequence execution (DESIGN.md §8): symbolic execution of k packets
-// *in order* through the same element, threading the private state
+// Sequence primitives (DESIGN.md §8) for symbolic execution of k
+// packets *in order* through a pipeline, threading the private state
 // store across packets. Step 1 models every state read as an
 // unconstrained fresh variable; here a read instead resolves against a
 // symbolic write log — packet i's writes become the values packet i+1
 // can observe — turning the per-packet over-approximation into the
 // exact multi-packet transition relation. The machinery mirrors
-// loop.go: the element is summarized once, and each step of the
-// sequence is substitution (step-scoped input renaming plus state
-// resolution) and a feasibility check, never re-execution.
+// loop.go: each step of a sequence is substitution (step-scoped input
+// renaming plus state resolution) over an already-computed path and a
+// feasibility check, never re-execution. The sequence walk itself is
+// verify's (induction.go), which threads terminal composed paths of a
+// whole pipeline through these primitives.
 //
 // Two initial-state modes select what a read of a never-written key
 // returns: InitDefault uses the declared default (the dataplane's boot
@@ -24,7 +26,6 @@ import (
 
 	"vsd/internal/expr"
 	"vsd/internal/ir"
-	"vsd/internal/smt"
 )
 
 // InitMode selects the initial private state of a sequence.
@@ -237,159 +238,6 @@ func ThreadState(st *SeqState, sub *expr.Subst, reads []StateAccess, writes []St
 			st.Write(rename(ev.wr.Store), sub.Apply(ev.wr.Key), sub.Apply(ev.wr.Val))
 		}
 	}
-}
-
-// SeqStep is one packet of a sequence path: the segment the packet
-// took, with its conditions and output packet rewritten into the step's
-// scope and its state reads resolved.
-type SeqStep struct {
-	Seg   *Segment
-	Conds []*expr.Expr
-	Pkt   *expr.Array
-}
-
-// SeqPath is one feasible symbolic execution of a packet sequence
-// through an element. A path is shorter than the requested k when a
-// step crashes (the element — and with it the dataplane — stops).
-type SeqPath struct {
-	Steps []SeqStep
-	State *SeqState
-}
-
-// Conds returns the path's full constraint set: every step's scoped
-// conditions plus the state model's consistency axioms.
-func (p *SeqPath) Conds() []*expr.Expr {
-	var out []*expr.Expr
-	for _, st := range p.Steps {
-		out = append(out, st.Conds...)
-	}
-	return append(out, p.State.Conds()...)
-}
-
-// SeqSummary is the result of RunSeq: every feasible sequence of (up
-// to) K packets through the element.
-type SeqSummary struct {
-	K     int
-	Paths []*SeqPath
-}
-
-// RunSeq symbolically executes sequences of k packets through p,
-// threading private state across packets. The element is summarized
-// once with Run; sequences are then built by per-step substitution over
-// the segment set, so the cost is the number of feasible sequences, not
-// k re-explorations. Each step's inputs live in SeqScope(t); in.Pre is
-// instantiated per step.
-//
-// RunSeq is the ENGINE-LEVEL driver: one element, its own segments. It
-// exists to specify (and unit-test) the sequence semantics of the
-// primitives above in isolation; production sequence verification
-// stitches terminal COMPOSED paths of a whole pipeline instead
-// (verify/induction.go), reusing SeqState/ThreadState/ScopeSubst but
-// not this driver. A semantic change to the extend step belongs in the
-// primitives, where both layers inherit it.
-func (e *Engine) RunSeq(p *ir.Program, in Input, k int, mode InitMode) (*SeqSummary, error) {
-	segs, err := e.Run(p, in)
-	if err != nil {
-		return nil, err
-	}
-	sum := &SeqSummary{K: k}
-	root := &SeqPath{State: NewSeqState(mode)}
-	for _, d := range p.States {
-		root.State.Declare(d.Name, d)
-	}
-	if err := e.seqDFS(p, in, segs, root, k, sum); err != nil {
-		return nil, err
-	}
-	return sum, nil
-}
-
-// seqDFS extends path one step at a time, emitting complete (or
-// crash-terminated) paths into sum.
-func (e *Engine) seqDFS(p *ir.Program, in Input, segs []*Segment, path *SeqPath, k int, sum *SeqSummary) error {
-	t := len(path.Steps)
-	if t == k {
-		sum.Paths = append(sum.Paths, path)
-		return nil
-	}
-	for _, seg := range segs {
-		next, err := e.seqExtend(in, path, seg, t)
-		if err != nil {
-			return err
-		}
-		if next == nil {
-			continue
-		}
-		if seg.Disposition == ir.Crashed {
-			// The element faulted: the sequence cannot continue.
-			sum.Paths = append(sum.Paths, next)
-			continue
-		}
-		if err := e.seqDFS(p, in, segs, next, k, sum); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// seqExtend stitches seg as step t of path, returning nil when the
-// extended sequence constraint is infeasible.
-func (e *Engine) seqExtend(in Input, path *SeqPath, seg *Segment, t int) (*SeqPath, error) {
-	scope := SeqScope(t)
-	state := path.State.Fork()
-	sub := ScopeSubst(scope, seg.Cond, seg.Pkt, seg.Reads, seg.Writes, readVarNames(seg.Reads))
-	ThreadState(state, sub, seg.Reads, seg.Writes, nil)
-	var conds []*expr.Expr
-	for _, pre := range in.Pre {
-		conds = append(conds, sub.Apply(pre))
-	}
-	feasible := true
-	for _, c := range seg.Cond {
-		ic := sub.Apply(c)
-		if ic.IsTrue() {
-			continue
-		}
-		if ic.IsFalse() {
-			feasible = false
-			break
-		}
-		conds = append(conds, ic)
-	}
-	if !feasible {
-		return nil, nil
-	}
-	// The forked state's Conds already include the parent's axioms, so
-	// the step conditions are collected from the steps alone.
-	var all []*expr.Expr
-	for _, st := range path.Steps {
-		all = append(all, st.Conds...)
-	}
-	all = append(all, conds...)
-	all = append(all, state.Conds()...)
-	e.stats.SolverChecks++
-	if r, _ := e.session.Check(all); r == smt.Unsat {
-		e.stats.ForksCut++
-		return nil, nil
-	}
-	next := &SeqPath{
-		Steps: append(path.Steps[:len(path.Steps):len(path.Steps)], SeqStep{
-			Seg:   seg,
-			Conds: conds,
-			Pkt:   sub.ApplyArray(seg.Pkt),
-		}),
-		State: state,
-	}
-	return next, nil
-}
-
-// readVarNames collects the fresh-variable names of a path's state
-// reads: the one variable class ScopeSubst must NOT rename, because
-// ThreadState binds them to resolved state values instead.
-func readVarNames(reads []StateAccess) map[string]bool {
-	names := make(map[string]bool, len(reads))
-	for _, rd := range reads {
-		names[rd.Var.Name] = true
-	}
-	return names
 }
 
 // ScopeSubst builds the step-t input renaming for one execution: the

@@ -391,25 +391,6 @@ func TestSegmentBudgetExceeded(t *testing.T) {
 	}
 }
 
-func TestPruneFoldStillSound(t *testing.T) {
-	// With solver pruning off, extra (infeasible) segments may appear,
-	// but every concrete packet must still match exactly one segment
-	// whose prediction is correct.
-	p := buildParser()
-	e := newEngine(Options{PruneMode: PruneFold})
-	segs, err := e.Run(p, DefaultInput(1, 16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 100; trial++ {
-		n := 1 + r.Intn(16)
-		pkt := make([]byte, n)
-		r.Read(pkt)
-		checkAgreement(t, p, segs, pkt, nil)
-	}
-}
-
 func TestMaxStepsBudget(t *testing.T) {
 	p := buildOptionsLoop(8)
 	e := newEngine(Options{LoopMode: LoopUnroll, MaxSteps: 50})

@@ -277,12 +277,7 @@ func (v *Verifier) seqSupported(p *click.Pipeline) error {
 		}
 		v.mu.Lock()
 		var merged bool
-		if v.opts.DisableSummaryCache {
-			// No per-program record without the cache; the verifier-wide
-			// flag is the conservative stand-in (may reject a clean
-			// element, never accepts a merged one).
-			merged = v.stats.SymbexStats.Merged
-		} else if ent, ok := v.cache[e.SummaryKey()]; ok {
+		if ent, ok := v.cache[e.SummaryKey()]; ok {
 			merged = ent.merged
 		}
 		v.mu.Unlock()

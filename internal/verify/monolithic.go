@@ -29,12 +29,7 @@ type MonolithicReport struct {
 // budget options make the blow-up observable at benchmark scale instead
 // of wall-clock scale.
 func Monolithic(p *click.Pipeline, opts Options) (*MonolithicReport, error) {
-	if opts.MinLen == 0 {
-		opts.MinLen = 14
-	}
-	if opts.MaxLen == 0 {
-		opts.MaxLen = 1514
-	}
+	opts = opts.normalized()
 	prog, err := click.Inline(p)
 	if err != nil {
 		return nil, fmt.Errorf("verify: inlining: %w", err)

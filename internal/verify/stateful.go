@@ -20,18 +20,6 @@ import (
 // these bad values to be written to the data structure in the first
 // place."
 
-// maxRefinedReads resolves Options.MaxRefinedReads: the cap on the
-// combination search. Paths reading more state values than this stay
-// suspect (sound: we only ever discharge paths we can prove
-// unrealizable) and are counted in Stats.RefinementTruncated so batch
-// runs can report how much refinement was skipped.
-func (v *Verifier) maxRefinedReads() int {
-	if v.opts.MaxRefinedReads > 0 {
-		return v.opts.MaxRefinedReads
-	}
-	return DefaultMaxRefinedReads
-}
-
 // statefulRealizable decides whether a crashing composed path is
 // realizable given what can actually be written to private state. It
 // returns true (keep the witness) unless every source combination —
@@ -54,7 +42,7 @@ func (v *Verifier) statefulRealizable(p *click.Pipeline, st *composed) (bool, er
 	if len(used) == 0 {
 		return true, nil // crash does not depend on state
 	}
-	if len(used) > v.maxRefinedReads() {
+	if len(used) > maxRefinedReads {
 		// Too many reads; keep suspect (over-approximate) and report the
 		// truncation. Runs under visitMu, so the plain counter is safe,
 		// but Stats() snapshots under v.mu — take it for the increment.

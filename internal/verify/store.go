@@ -5,7 +5,7 @@ package verify
 // element class — used to live only in a per-Verifier in-memory map and
 // die with the process. A SummaryStore makes summaries outlive it:
 // artifacts are keyed by StoreKey — the ir.Program content fingerprint
-// bound to the Step-1 context (packet-length bounds, engine modes) the
+// bound to the Step-1 context (packet-length bounds, loop mode) the
 // summary was computed under — so a store entry is valid for exactly
 // the configurations whose summaries it holds, no matter which
 // registry, class name, or process produced it.
@@ -42,23 +42,16 @@ type SummaryStore interface {
 // without recording them in segment conditions — a summary computed
 // under [64,128] legitimately omits crash segments that only packets
 // shorter than 64 bytes can reach, so reusing it at [14,48] would be
-// unsound. The loop and pruning modes likewise change which segments a
-// summary contains. Zero option values normalize exactly as in New, so
-// equal effective configurations share keys.
+// unsound. The loop mode likewise changes which segments a summary
+// contains. Zero option values normalize exactly as in New, so equal
+// effective configurations share keys.
 func StoreKey(prog *ir.Program, opts Options) ir.Fingerprint {
-	minLen, maxLen := opts.MinLen, opts.MaxLen
-	if minLen == 0 {
-		minLen = 14
-	}
-	if maxLen == 0 {
-		maxLen = 1514
-	}
-	h := ir.NewHasher("vsd/sumkey/v1")
+	opts = opts.normalized()
+	h := ir.NewHasher("vsd/sumkey/v2")
 	h.Fingerprint(prog.Fingerprint())
-	h.U64(minLen)
-	h.U64(maxLen)
+	h.U64(opts.MinLen)
+	h.U64(opts.MaxLen)
 	h.U64(uint64(opts.Symbex.LoopMode))
-	h.U64(uint64(opts.Symbex.PruneMode))
 	return h.Sum()
 }
 

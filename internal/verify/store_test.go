@@ -207,6 +207,14 @@ func TestStoreKeyBindsLengthBounds(t *testing.T) {
 	if st := warm.Stats(); st.ElementsSummarized != 0 || st.StoreHits == 0 {
 		t.Errorf("equal configuration did not reuse artifacts: %+v", st)
 	}
+	// Zero bounds normalize to the defaults, exactly as New applies them.
+	prog := parsePipeline(t, src).Elements[1].Program()
+	if StoreKey(prog, Options{}) != StoreKey(prog, Options{MinLen: packet.MinFrame, MaxLen: packet.MaxFrame}) {
+		t.Error("zero options and explicit defaults give different store keys")
+	}
+	if StoreKey(prog, Options{}) == StoreKey(prog, Options{MaxLen: 48}) {
+		t.Error("a changed MaxLen kept the default store key")
+	}
 }
 
 // TestMemStoreSharesAcrossVerifiers: the in-memory implementation gives
@@ -270,27 +278,39 @@ func TestStoreRoundTripSegmentsUsable(t *testing.T) {
 	}
 }
 
-// twoReadPipeline builds a pipeline whose single crash path depends on
-// TWO state reads returning values nothing ever writes: the bad-value
-// refinement discharges it — but only if the cap lets it enumerate both
-// reads.
-func twoReadPipeline(t *testing.T) *click.Pipeline {
+// readsPipeline builds a pipeline whose single crash path depends on n
+// state reads all returning a value nothing ever writes: the bad-value
+// refinement discharges it — but only if its fixed cap lets it
+// enumerate every read.
+func readsPipeline(t *testing.T, n int) *click.Pipeline {
 	t.Helper()
-	b := ir.NewBuilder("TwoReads", 1, 1)
+	b := ir.NewBuilder("Reads", 1, 1)
 	b.DeclareState(ir.StateDecl{Name: "st", KeyW: 32, ValW: 32, Default: 0})
-	a := b.StateRead("st", b.ConstU(32, 0))
-	c := b.StateRead("st", b.ConstU(32, 1))
-	both := b.Bin(ir.And, b.BinC(ir.Eq, a, 1), b.BinC(ir.Eq, c, 1))
-	b.Assert(b.Not(both), "both reads returned the unwritable value")
+	var all ir.Reg
+	for i := 0; i < n; i++ {
+		hit := b.BinC(ir.Eq, b.StateRead("st", b.ConstU(32, uint64(i))), 1)
+		if i == 0 {
+			all = hit
+		} else {
+			all = b.Bin(ir.And, all, hit)
+		}
+	}
+	b.Assert(b.Not(all), "every read returned the unwritable value")
 	b.Emit(0)
-	prog := b.MustBuild()
+	return oneElementPipeline(t, "probe", b.MustBuild())
+}
+
+// oneElementPipeline wires prog behind an InfiniteSource, leaving its
+// outputs as the pipeline's egress.
+func oneElementPipeline(t *testing.T, name string, prog *ir.Program) *click.Pipeline {
+	t.Helper()
 	srcProg, err := elements.InfiniteSource("")
 	if err != nil {
 		t.Fatal(err)
 	}
 	p, err := click.Build([]*click.Instance{
 		click.NewInstance("src", "InfiniteSource", "", srcProg),
-		click.NewInstance("probe", "TwoReads", "", prog),
+		click.NewInstance(name, prog.Name, "", prog),
 	}, []click.Connection{{From: 0, FromPort: 0, To: 1}})
 	if err != nil {
 		t.Fatal(err)
@@ -298,44 +318,37 @@ func twoReadPipeline(t *testing.T) *click.Pipeline {
 	return p
 }
 
-// TestMaxRefinedReadsOption: with the default cap the two-read crash is
-// discharged; with MaxRefinedReads=1 the combination search is skipped,
-// the path stays suspect (sound over-approximation), and the truncation
-// is reported in the new Stats counter.
-func TestMaxRefinedReadsOption(t *testing.T) {
-	base := New(Options{MinLen: packet.MinFrame, MaxLen: 48})
-	repBase, err := base.CrashFreedom(twoReadPipeline(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !repBase.Verified || repBase.Discharged == 0 {
-		t.Fatalf("default cap: verified=%v discharged=%d, want discharged proof", repBase.Verified, repBase.Discharged)
-	}
-	if got := base.Stats().RefinementTruncated; got != 0 {
-		t.Errorf("default cap truncated %d paths, want 0", got)
-	}
-
-	capped := New(Options{MinLen: packet.MinFrame, MaxLen: 48, MaxRefinedReads: 1})
-	repCapped, err := capped.CrashFreedom(twoReadPipeline(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if repCapped.Verified {
-		t.Error("cap=1 must leave the two-read path suspect (sound over-approximation)")
-	}
-	if got := capped.Stats().RefinementTruncated; got == 0 {
-		t.Error("cap=1 did not report the truncated path")
-	}
-
-	// Raising the cap explicitly restores the proof.
-	wide := New(Options{MinLen: packet.MinFrame, MaxLen: 48, MaxRefinedReads: 8})
-	repWide, err := wide.CrashFreedom(twoReadPipeline(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !repWide.Verified {
-		t.Error("cap=8 should discharge the two-read path")
-	}
+// TestRefinedReadsCap pins the bad-value search's fixed cap of two
+// reads: a crash path needing two unwritable reads is discharged, and
+// one needing three stays suspect (sound over-approximation) and is
+// reported in Stats.RefinementTruncated.
+func TestRefinedReadsCap(t *testing.T) {
+	t.Run("two-reads-discharged", func(t *testing.T) {
+		v := New(Options{MinLen: packet.MinFrame, MaxLen: 48})
+		rep, err := v.CrashFreedom(readsPipeline(t, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Verified || rep.Discharged == 0 {
+			t.Fatalf("verified=%v discharged=%d, want discharged proof", rep.Verified, rep.Discharged)
+		}
+		if got := v.Stats().RefinementTruncated; got != 0 {
+			t.Errorf("truncated %d paths, want 0", got)
+		}
+	})
+	t.Run("three-reads-truncated", func(t *testing.T) {
+		v := New(Options{MinLen: packet.MinFrame, MaxLen: 48})
+		rep, err := v.CrashFreedom(readsPipeline(t, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Verified {
+			t.Error("a three-read path must stay suspect past the cap")
+		}
+		if got := v.Stats().RefinementTruncated; got == 0 {
+			t.Error("the truncated path was not reported")
+		}
+	})
 }
 
 // TestDiskStoreTornWriteDegradesToMiss covers every torn-write shape a

@@ -13,6 +13,7 @@ import (
 	"vsd/internal/click"
 	"vsd/internal/expr"
 	"vsd/internal/ir"
+	"vsd/internal/packet"
 	"vsd/internal/smt"
 	"vsd/internal/symbex"
 	"vsd/internal/telemetry"
@@ -20,17 +21,11 @@ import (
 
 // Options configures a Verifier.
 type Options struct {
-	// MinLen and MaxLen bound the symbolic packet length (defaults:
-	// packet.MinFrame and packet.MaxFrame are typical; zero values become
-	// 14 and 1514).
+	// MinLen and MaxLen bound the symbolic packet length; zero values
+	// become packet.MinFrame (14) and packet.MaxFrame (1514).
 	MinLen, MaxLen uint64
 	// Engine options forwarded to the symbolic executor.
 	Symbex symbex.Options
-	// DisableSummaryCache re-runs Step 1 for every pipeline position
-	// (ablation: the paper processes each element once).
-	DisableSummaryCache bool
-	// MaxComposedPaths bounds Step-2 exploration (0 = default).
-	MaxComposedPaths int
 	// Parallelism bounds the worker pool for Step-1 summarization and
 	// the Step-2 composed-path walk. 0 uses GOMAXPROCS; 1 disables
 	// concurrency. Verdicts and statistics are schedule-independent;
@@ -42,11 +37,6 @@ type Options struct {
 	// entries bypass the symbolic engine entirely; corrupt or missing
 	// entries fall back to re-summarizing.
 	Store SummaryStore
-	// MaxRefinedReads caps the bad-value combination search of the
-	// stateful refinement (stateful.go): crash paths whose constraint
-	// mentions more state reads than this stay suspect (sound, but
-	// reported via Stats.RefinementTruncated). 0 means the default of 2.
-	MaxRefinedReads int
 	// SolverMaxConflicts bounds each SAT search (0 = the solver default,
 	// negative = unbounded) and SolverTimeout bounds its wall time (0 =
 	// none). An exhausted budget surfaces as an unresolved obligation in
@@ -87,12 +77,27 @@ func (o Options) solverOptions() smt.Options {
 	}
 }
 
-// DefaultMaxRefinedReads is the refinement cap used when
-// Options.MaxRefinedReads is zero.
-const DefaultMaxRefinedReads = 2
+// normalized resolves zero option values to their defaults. New,
+// StoreKey and Monolithic all go through it, so equal effective
+// configurations build equal verifiers and share store keys.
+func (o Options) normalized() Options {
+	if o.MinLen == 0 {
+		o.MinLen = packet.MinFrame
+	}
+	if o.MaxLen == 0 {
+		o.MaxLen = packet.MaxFrame
+	}
+	return o
+}
 
-// DefaultMaxComposedPaths bounds Step-2 path enumeration.
-const DefaultMaxComposedPaths = 1 << 18
+// maxRefinedReads caps the bad-value combination search of the stateful
+// refinement (stateful.go): crash paths whose constraint mentions more
+// state reads than this stay suspect (sound, but reported via
+// Stats.RefinementTruncated).
+const maxRefinedReads = 2
+
+// maxComposedPaths bounds Step-2 path enumeration.
+const maxComposedPaths = 1 << 18
 
 // Stats describes the work a verification performed.
 type Stats struct {
@@ -106,8 +111,8 @@ type Stats struct {
 	ComposedInfeasible int   // stitched paths discharged as infeasible
 	SolverQueries      int64 // feasibility queries in Step 2
 	// RefinementTruncated counts crash paths left suspect because they
-	// read more state values than Options.MaxRefinedReads allows the
-	// bad-value search to enumerate.
+	// read more state values than the bad-value search enumerates
+	// (maxRefinedReads).
 	RefinementTruncated int
 	// Robustness counters (DESIGN.md §9). PanicsRecovered counts engine
 	// panics contained by the workers (each surfaced as an unresolved
@@ -130,7 +135,7 @@ type Stats struct {
 	SolveTimes     telemetry.HistSummary
 	SummarizeTimes telemetry.HistSummary
 	// Solver carries the counters of the shared solver, including the
-	// incremental-session ones (assumption solves, reused clauses), plus
+	// incremental-session ones (sessions opened, reused clauses), plus
 	// those of the throwaway solvers that re-solve bound witnesses.
 	Solver smt.Stats
 }
@@ -189,12 +194,7 @@ type summaryEntry struct {
 
 // New returns a Verifier with fresh solver and engine pool.
 func New(opts Options) *Verifier {
-	if opts.MinLen == 0 {
-		opts.MinLen = 14
-	}
-	if opts.MaxLen == 0 {
-		opts.MaxLen = 1514
-	}
+	opts = opts.normalized()
 	v := &Verifier{
 		opts:  opts,
 		cache: map[ir.Fingerprint]*summaryEntry{},
@@ -348,10 +348,6 @@ func (v *Verifier) Pre() []*expr.Expr { return v.input().Pre }
 // computation. With Options.Store set, the persistent store is
 // consulted before the symbolic engine and updated after a fresh run.
 func (v *Verifier) Summarize(e *click.Instance) ([]*symbex.Segment, error) {
-	if v.opts.DisableSummaryCache {
-		segs, _, err := v.summarize(e)
-		return segs, err
-	}
 	key := e.SummaryKey()
 	v.mu.Lock()
 	ent, ok := v.cache[key]
@@ -415,15 +411,9 @@ func (v *Verifier) loadOrSummarize(e *click.Instance) ([]*symbex.Segment, bool, 
 // summariesMerged reports whether any cached summary used by the
 // pipeline's elements carries the merged (steps-are-upper-bounds) flag.
 // Summaries must already be cached (i.e. after a verification ran).
-// With the cache disabled there is no per-program record, so the
-// verifier-wide flag stands in — conservative: it may report an upper
-// bound where the bound is exact, never the reverse.
 func (v *Verifier) summariesMerged(p *click.Pipeline) bool {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if v.opts.DisableSummaryCache {
-		return v.stats.SymbexStats.Merged
-	}
 	for _, e := range p.Elements {
 		if ent, ok := v.cache[e.SummaryKey()]; ok && ent.merged {
 			return true
@@ -723,7 +713,6 @@ type walker struct {
 	p         *click.Pipeline
 	extraPre  []*expr.Expr
 	summaries [][]*symbex.Segment
-	limit     int64
 	visit     func(pathEnd) error
 
 	tasks    chan walkTask
@@ -854,8 +843,8 @@ func (w *walker) dfs(sess *smt.IncrementalSession, elem int, st *composed) error
 			if err := w.doVisit(end); err != nil {
 				return err
 			}
-			if n > w.limit {
-				return fmt.Errorf("verify: more than %d composed paths", w.limit)
+			if n > maxComposedPaths {
+				return fmt.Errorf("verify: more than %d composed paths", maxComposedPaths)
 			}
 		}
 		if w.stopped.Load() {
@@ -871,10 +860,6 @@ func (w *walker) dfs(sess *smt.IncrementalSession, elem int, st *composed) error
 // preconditions). Visit callbacks are serialized; path order is
 // unspecified when Parallelism > 1.
 func (v *Verifier) walk(p *click.Pipeline, extraPre []*expr.Expr, visit func(pathEnd) error) error {
-	limit := v.opts.MaxComposedPaths
-	if limit <= 0 {
-		limit = DefaultMaxComposedPaths
-	}
 	summaries, err := v.summarizeAll(p.Elements)
 	if err != nil {
 		return err
@@ -886,7 +871,6 @@ func (v *Verifier) walk(p *click.Pipeline, extraPre []*expr.Expr, visit func(pat
 		p:         p,
 		extraPre:  extraPre,
 		summaries: summaries,
-		limit:     int64(limit),
 		visit:     visit,
 	}
 	root := entryState(p)

@@ -366,14 +366,8 @@ func TestSummaryCacheSharesAcrossPositions(t *testing.T) {
 	if st.SummaryCacheHits == 0 {
 		t.Errorf("no cache hits; stats = %+v", st)
 	}
-	// Ablation: with the cache disabled every position re-summarizes.
-	v2 := New(Options{MinLen: packet.MinFrame, MaxLen: 64, DisableSummaryCache: true})
-	if _, err := v2.CrashFreedom(p); err != nil {
-		t.Fatal(err)
-	}
-	if v2.Stats().ElementsSummarized <= st.ElementsSummarized {
-		t.Errorf("cache ablation did not increase summarization work: %d vs %d",
-			v2.Stats().ElementsSummarized, st.ElementsSummarized)
+	if st.ElementsSummarized >= len(p.Elements) {
+		t.Errorf("summarized %d times for %d positions, want fewer", st.ElementsSummarized, len(p.Elements))
 	}
 }
 
